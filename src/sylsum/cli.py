@@ -387,6 +387,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_RATIONAL = re.compile(r"-\d")
+
+
+def _attach_negative_weights(argv: list[str]) -> list[str]:
+    """Rewrite ``--lambda -3/2`` as ``--lambda=-3/2``.
+
+    argparse reads a token starting with '-' as an option unless it looks
+    like a plain negative number, which a fraction does not, so the flag
+    would be left without its value.  Abbreviations of the flag count too.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and "--lambda".startswith(prev) and _NEGATIVE_RATIONAL.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _error_record(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
@@ -395,7 +415,7 @@ def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_weights(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
 

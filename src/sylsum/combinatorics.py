@@ -1,10 +1,13 @@
 """Exact combinatorial coefficients: Eulerian numbers, Bernoulli numbers,
 and the Bernoulli closed form for power sums.
 
-The Eulerian triangle entry(n, m) counts permutations of 1..n with exactly
-m ascents and is evaluated by the alternating binomial sum
-sum_{k=0}^{m+1} (-1)^k C(n+1, k) (m-k+1)^n with 0**0 == 1, so entry(0, 0)
-is 1.  Bernoulli numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
+The Eulerian triangle entry E(n, m) counts permutations of 1..n with
+exactly m ascents.  Rows are built from the previous row by the recurrence
+E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), starting from E(0, 0) = 1;
+this equals the alternating binomial sum
+sum_{k=0}^{m+1} (-1)^k C(n+1, k) (m-k+1)^n (with 0**0 == 1) at O(n)
+integer operations per row instead of O(n^2) large powers.  Bernoulli
+numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
 
 Both tables are memoized per process; growth is append-only behind a lock
 so concurrent readers are safe.
@@ -28,15 +31,6 @@ class EulerianTable:
         self._rows: list[list[int]] = [[1]]
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _entry(n: int, m: int) -> int:
-        total = 0
-        for k in range(m + 2):
-            base = m - k + 1
-            power = 1 if n == 0 else base**n
-            total += (-1) ** k * comb(n + 1, k) * power
-        return total
-
     def value(self, n: int, m: int) -> int:
         if n < 0:
             raise ValueError("row index must be nonnegative")
@@ -46,7 +40,11 @@ class EulerianTable:
             with self._lock:
                 while len(self._rows) <= n:
                     r = len(self._rows)
-                    self._rows.append([self._entry(r, j) for j in range(r + 1)])
+                    prev = self._rows[-1] + [0]  # E(r-1, r) == 0
+                    row = [1]
+                    for j in range(1, r + 1):
+                        row.append((j + 1) * prev[j] + (r - j) * prev[j - 1])
+                    self._rows.append(row)
         return self._rows[n][m]
 
     def row(self, n: int) -> tuple[int, ...]:

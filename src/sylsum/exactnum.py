@@ -6,6 +6,13 @@ coefficients.  The rational field itself is the degree-1 quotient Q[x]/(x),
 so a single element type covers rational weights, roots of unity and
 quadratic irrationals alike.
 
+The one hot loop of the package, the weighted power sums
+sum_m m**t * lam**m over an Apery set, does not go through FieldElement
+arithmetic: ``power_sums`` writes lam as an integer polynomial P(y) over a
+common denominator d, in a basis y = c*x that makes the modulus integral,
+and evaluates every t in a single integer Horner pass.  The same code serves
+Q, cyclotomic, quadratic and arbitrary ``Q[x]/(f)`` fields.
+
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
   * arithmetic is ring arithmetic: the modulus is never checked for
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd as gcd_int
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -334,6 +342,106 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# weighted power sums: one exact integer pass
+
+
+def _denominator_lcm(coeffs: Iterable[Fraction]) -> int:
+    d = 1
+    for c in coeffs:
+        d = lcm(d, c.denominator)
+    return d
+
+
+def _imatrix(q: list[int], g: list[int]) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix of multiplication by q modulo the monic g.
+
+    Column j holds y**j * q mod g; reducing y * col by y**n == y**n - g(y)
+    keeps every entry an integer.
+    """
+    n = len(g) - 1
+    cols = [q]
+    for _ in range(n - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([-top * g[0]] + [prev[k - 1] - top * g[k] for k in range(1, n)])
+    return [tuple(col[i] for col in cols) for i in range(n)]
+
+
+def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[FieldElement]:
+    """S[t] = sum of m**t * lam**m over the exponents m, for t = 0..mu.
+
+    0**0 == 1, so an exponent 0 adds lam**0 == 1 to S[0] and nothing to the
+    other S[t].  All of S[0..mu] come from one Horner pass in integers:
+
+      * the modulus f is made integral by x = y/c, c the lcm of its
+        denominators: g(y) = c**n f(y/c) is monic with integer
+        coefficients, and Q[x]/(f) is isomorphic to Q[y]/(g);
+      * lam, written in y, is P(y)/d with integer P and d the lcm of its
+        coefficient denominators;
+      * walking the exponents downwards from the largest, M,
+        H_t <- P**gap * H_t (mod g) + m**t * d**(M-m), which ends at
+        d**M * S[t] after the smallest exponent's own power of P;
+      * one division by d**M and the map y**k -> c**k x**k return to the
+        field's basis.
+
+    ``P**gap`` and ``d**gap`` are computed once per distinct gap.
+    """
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    exps = sorted(exponents, reverse=True)
+    if exps and exps[-1] < 0:
+        raise ValueError("exponents must be nonnegative")
+    field = lam.field
+    if not exps:
+        return [field.zero] * (mu + 1)
+    n = field.degree
+    c = _denominator_lcm(field.modulus)
+    g = [int(f * c ** (n - k)) for k, f in enumerate(field.modulus)]
+    coeffs = [a / c**k for k, a in enumerate(lam.coeffs)]
+    d = _denominator_lcm(coeffs)
+    P = [int(a * d) for a in coeffs]
+
+    steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+
+    def step(gap: int):
+        if gap not in steps:
+            power, base, e = [1] + [0] * (n - 1), P, gap
+            while e:
+                rows = _imatrix(base, g)
+                if e & 1:
+                    power = [sum(map(mul, row, power)) for row in rows]
+                e >>= 1
+                if e:
+                    base = [sum(map(mul, row, base)) for row in rows]
+            steps[gap] = (_imatrix(power, g), d**gap)
+        return steps[gap]
+
+    H = [[0] * n for _ in range(mu + 1)]
+    d_pow = 1  # d**(M - m)
+    prev = exps[0]
+    for m in exps:
+        if m != prev:
+            rows, d_gap = step(prev - m)
+            d_pow *= d_gap
+            H = [[sum(map(mul, row, h)) for row in rows] for h in H]
+            prev = m
+        term = d_pow
+        for h in H:
+            h[0] += term
+            term *= m
+    if prev:
+        rows, _ = step(prev)
+        H = [[sum(map(mul, row, h)) for row in rows] for h in H]
+
+    scale = d ** exps[0]
+    c_pows = [c**k for k in range(n)]
+    return [
+        FieldElement(field, tuple(Fraction(v * ck, scale) for v, ck in zip(h, c_pows)))
+        for h in H
+    ]
+
+
+# ---------------------------------------------------------------------------
 # built-in fields
 
 #: The rational field, realised as Q[x]/(x) so elements are bare constants.
@@ -461,9 +569,7 @@ def pretty_str(e: FieldElement) -> str:
         symbol = f"sqrt({tag[1]})"
     else:
         symbol = "x"
-    denom = 1
-    for c in e.coeffs:
-        denom = denom * c.denominator // gcd_int(denom, c.denominator)
+    denom = _denominator_lcm(e.coeffs)
     if denom == 1:
         return _poly_str(e.coeffs, symbol, ascending=True)
     scaled = [c * denom for c in e.coeffs]

@@ -18,6 +18,10 @@ Which formula applies depends on lambda:
   * two and three generators additionally admit fully closed forms with
     no Apery set at all, under divisibility side conditions.
 
+The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
+weighted formulas consume come from ``exactnum.power_sums``, an exact
+integer Horner pass over the sorted Apery set (all t at once).
+
 ``dispatch_sum`` picks the right route automatically; every route is
 cross-checked against brute-force enumeration in the test suite.
 """
@@ -30,7 +34,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .combinatorics import bernoulli, eulerian
-from .exactnum import QQ, FieldElement, Scalar, to_element
+from .exactnum import QQ, FieldElement, Scalar, power_sums, to_element
 from .semigroup import GeneratorSet, NotCoprime, apery_set, validate_generators
 
 
@@ -106,18 +110,6 @@ def _pick_pivot(A: GeneratorSet, lam: FieldElement, want_unit_power: bool = Fals
     return None
 
 
-def _rep_power_sums(reps, lam: FieldElement, mu: int) -> list[FieldElement]:
-    """S[t] = sum_i reps[i]**t * lam**reps[i] for t = 0..mu, with 0**0 == 1."""
-    pows = [lam**m for m in reps]
-    sums = []
-    for t in range(mu + 1):
-        acc = lam.field.zero
-        for m, p in zip(reps, pows):
-            acc = acc + (m**t) * p  # 0**0 == 1 covers the i = 0 term
-        sums.append(acc)
-    return sums
-
-
 def weighted_power_sum(
     A: GeneratorSet, mu: int, lam: Scalar, pivot: int | None = None
 ) -> SumResult:
@@ -146,7 +138,7 @@ def weighted_power_sum(
         raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
 
     reps = apery_set(A, pivot).reps
-    S = _rep_power_sums(reps, lam, mu)
+    S = power_sums(lam, reps, mu)
     d_inv = (La - 1).inverse()
     lam1_inv = (lam - 1).inverse()
 
@@ -188,11 +180,7 @@ def weighted_sum_mu2(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> 
     La = lam**pivot
     if La.is_one():
         raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
-    reps = apery_set(A, pivot).reps
-    pows = [lam**m for m in reps]
-    s0 = sum(pows[1:], pows[0])
-    s1 = sum((m * p for m, p in zip(reps, pows)), lam.field.zero)
-    s2 = sum((m * m * p for m, p in zip(reps, pows)), lam.field.zero)
+    s0, s1, s2 = power_sums(lam, apery_set(A, pivot).reps, 2)
     d_inv = (La - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     a = pivot
@@ -218,10 +206,7 @@ def weighted_sum_mu1(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> 
     La = lam**pivot
     if La.is_one():
         raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
-    reps = apery_set(A, pivot).reps
-    pows = [lam**m for m in reps]
-    s0 = sum(pows[1:], pows[0])
-    s1 = sum((m * p for m, p in zip(reps, pows)), lam.field.zero)
+    s0, s1 = power_sums(lam, apery_set(A, pivot).reps, 1)
     d_inv = (La - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     value = d_inv * s1 - pivot * La * d_inv**2 * s0 + lam * lam1_inv**2

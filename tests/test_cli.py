@@ -76,6 +76,29 @@ class TestCliContract:
         assert code == 0
         assert out.splitlines()[0] == "-9008090"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("sum", "--gens", "5,7", "--mu", "1"),
+            ("verify", "--gens", "5,7", "--mu", "2"),
+            ("closed3", "--gens", "6,9,10"),
+        ],
+    )
+    def test_negative_fraction_weight(self, capsys, command):
+        code, spaced, _ = run(capsys, *command, "--lambda", "-3/2")
+        assert code == 0
+        code, glued, _ = run(capsys, *command, "--lambda=-3/2")
+        assert code == 0
+        assert spaced == glued
+
+    def test_negative_fraction_weight_value(self, capsys):
+        A = validate_generators([5, 7])
+        for flag in ("--lambda", "--lam"):
+            code, out, _ = run(capsys, "sum", "--gens", "5,7", "--mu", "1", flag, "-3/2")
+            assert code == 0
+            value = parse_element(out.splitlines()[1].removeprefix("canonical: "))
+            assert value == brute_force_weighted_sum(A, 1, Fraction(-3, 2))
+
     def test_closed3_condition_not_met(self, capsys):
         code, out, err = run(capsys, "closed3", "--gens", "4,6,9", "--lambda", "2")
         assert code == 3

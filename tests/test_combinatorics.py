@@ -2,7 +2,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -41,6 +41,19 @@ class TestEulerian:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_row_sums_to_factorial(self, n):
         assert sum(eulerian(n, m) for m in range(n + 1)) == factorial(n)
+
+    def test_recurrence_matches_alternating_sum(self):
+        for n in range(1, 31):  # row 0 is [1] by convention
+            row = EulerianTable().row(n)
+            expected = [
+                sum(
+                    (-1) ** k * comb(n + 1, k) * (m - k + 1) ** n  # 0**0 == 1
+                    for k in range(m + 2)
+                )
+                for m in range(n + 1)
+            ]
+            assert list(row) == expected
+            assert sum(row) == factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_symmetry(self, n):

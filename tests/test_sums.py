@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sylsum.exactnum import quadratic_field, to_element, zeta
+from sylsum.exactnum import NumberField, power_sums, quadratic_field, to_element, zeta
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
     NotCoprime,
@@ -86,6 +88,74 @@ class TestGeneralFormula:
             assert weighted_power_sum(A, mu, lam).value == brute_force_weighted_sum(
                 A, mu, lam
             )
+
+
+def rep_power_sums_reference(reps, lam, mu):
+    """The generic loop the integer kernel replaced: one lam**m per exponent,
+    accumulated as field elements."""
+    pows = [lam**m for m in reps]
+    sums = []
+    for t in range(mu + 1):
+        acc = lam.field.zero
+        for m, p in zip(reps, pows):
+            acc = acc + (m**t) * p  # 0**0 == 1 covers the m = 0 term
+        sums.append(acc)
+    return sums
+
+
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+nonzero_fractions = st.builds(
+    Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 30)
+)
+
+
+def _elements(modulus):
+    field = NumberField(modulus)
+    return st.lists(
+        small_fractions, min_size=field.degree, max_size=field.degree
+    ).map(field.element)
+
+
+NON_INTEGRAL = NumberField([Fraction(1, 2), Fraction(-1, 3), 0, 1])
+
+weights = st.one_of(
+    st.integers(-9, 9).filter(bool).map(to_element),  # d = 1
+    nonzero_fractions.map(to_element),  # |lambda| below and above 1, both signs
+    st.builds(lambda n, k: zeta(n) ** (k % n), st.integers(1, 12), st.integers(0, 11)),
+    st.builds(
+        lambda d, r0, r1: quadratic_field(d).element([r0, r1]),
+        st.sampled_from([-3, -1, 2, 5, 7]),
+        small_fractions,
+        small_fractions,
+    ),
+    _elements([-2, 0, 0, 1]),  # cubic
+    _elements(NON_INTEGRAL.modulus),  # monic modulus with non-integer coefficients
+)
+exponent_lists = st.lists(st.integers(0, 40), max_size=12)
+
+
+class TestPowerSumKernel:
+    @settings(deadline=None)
+    @given(
+        lam=weights,
+        reps=st.one_of(exponent_lists, exponent_lists.map(lambda r: [0] + r)),
+        mu=st.integers(0, 6),
+    )
+    @example(
+        lam=NON_INTEGRAL.element([Fraction(1, 3), Fraction(-2, 5), 1]),
+        reps=[0, 3, 7, 11, 38],
+        mu=6,
+    )
+    def test_matches_generic_loop(self, lam, reps, mu):
+        got = power_sums(lam, reps, mu)
+        want = rep_power_sums_reference(reps, lam, mu)
+        assert [(s.field.modulus, s.coeffs) for s in got] == [
+            (s.field.modulus, s.coeffs) for s in want
+        ]
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            power_sums(to_element(2), [0, -1], 1)
 
 
 class TestSpecializedFormulas:

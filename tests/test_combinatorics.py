@@ -43,8 +43,9 @@ class TestEulerian:
         assert sum(eulerian(n, m) for m in range(n + 1)) == factorial(n)
 
     def test_recurrence_matches_alternating_sum(self):
+        table = EulerianTable()
         for n in range(1, 31):  # row 0 is [1] by convention
-            row = EulerianTable().row(n)
+            row = table.row(n)
             expected = [
                 sum(
                     (-1) ** k * comb(n + 1, k) * (m - k + 1) ** n  # 0**0 == 1

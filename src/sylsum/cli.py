@@ -61,17 +61,10 @@ from .sums import (
     SumRequest,
     SumResult,
     ThreeVarContext,
-    alternating_sum,
     closed_three_var,
     closed_three_var_degenerate,
-    closed_two_var,
-    closed_two_var_degenerate,
     dispatch_sum,
-    unweighted_power_sum,
-    weighted_power_sum,
-    weighted_sum_mu1,
-    weighted_sum_mu1_rou,
-    weighted_sum_mu2,
+    evaluate,
 )
 
 
@@ -169,53 +162,12 @@ def _value_obj(value: FieldElement) -> dict:
     return obj
 
 
-def _forced_result(A, mu: int, lam: FieldElement, name: str) -> SumResult:
-    """Run one specific formula, still enforcing its own preconditions."""
-    try:
-        formula = Formula(name)
-    except ValueError:
-        raise ParseError(f"unknown formula {name!r}") from None
-
-    def need(cond: bool, msg: str):
-        if not cond:
-            raise PreconditionViolated(msg)
-
-    gens = A.gens
-    if formula is Formula.GENERAL:
-        return weighted_power_sum(A, mu, lam)
-    if formula is Formula.MU2:
-        need(mu == 2, "mu2_thm2 computes the mu = 2 sum")
-        return weighted_sum_mu2(A, lam)
-    if formula is Formula.MU1:
-        need(mu == 1, "mu1_thm3 computes the mu = 1 sum")
-        return weighted_sum_mu1(A, lam)
-    if formula is Formula.MU1_ROU:
-        need(mu == 1, "mu1_rou_thm4 computes the mu = 1 sum")
-        return weighted_sum_mu1_rou(A, lam)
-    if formula is Formula.UNWEIGHTED:
-        need(lam.is_one(), "unweighted_thm5 needs weight 1")
-        return unweighted_power_sum(A, mu)
-    if formula is Formula.ALTERNATING:
-        need(mu == 1, "alternating_cor1 computes the mu = 1 sum")
-        need(lam == -1, "alternating_cor1 needs weight -1")
-        return alternating_sum(A)
-    if formula is Formula.TWO_VAR:
-        need(len(gens) == 2, "two_var_closed needs exactly two generators")
-        return closed_two_var(gens[0], gens[1], lam)
-    if formula is Formula.TWO_VAR_DEGENERATE:
-        need(len(gens) == 2, "two_var_degenerate needs exactly two generators")
-        need(mu == 1, "two_var_degenerate computes the mu = 1 sum")
-        return closed_two_var_degenerate(gens[0], gens[1], lam)
-    if formula is Formula.THREE_VAR:
-        need(len(gens) == 3, "three_var_thm6 needs exactly three generators")
-        need(mu == 1, "three_var_thm6 computes the mu = 1 sum")
-        return closed_three_var(ThreeVarContext(*gens), lam)
-    if formula is Formula.THREE_VAR_DEGENERATE:
-        need(len(gens) == 3, "three_var_thm7 needs exactly three generators")
-        need(mu == 1, "three_var_thm7 computes the mu = 1 sum")
-        return closed_three_var_degenerate(ThreeVarContext(*gens), lam)
-    # Formula.ORACLE
-    return SumResult(brute_force_weighted_sum(A, mu, lam), Formula.ORACLE, None)
+def _forced_result(req: SumRequest, name: str) -> SumResult:
+    """Run one specific formula; ``evaluate`` enforces the domain it declares."""
+    formula = Formula(name)
+    if formula is Formula.ORACLE:
+        return SumResult(brute_force_weighted_sum(req.A, req.mu, req.lam), Formula.ORACLE)
+    return evaluate(formula, req.A, req.mu, req.lam)
 
 
 def _emit(envelope: dict, lines: list[str], args) -> None:
@@ -271,10 +223,11 @@ def _sum_lines(result: SumResult) -> list[str]:
 def _cmd_sum(args) -> tuple[dict, list[str]]:
     A = validate_generators(_parse_gens(args.gens))
     spec = parse_lambda(args.weight)
+    req = SumRequest(A, args.mu, spec.resolved)
     if args.force_formula:
-        result = _forced_result(A, args.mu, spec.resolved, args.force_formula)
+        result = _forced_result(req, args.force_formula)
     else:
-        result = dispatch_sum(SumRequest(A, args.mu, spec.resolved))
+        result = dispatch_sum(req)
     envelope = {
         "inputs": {"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw},
         "result": _value_obj(result.value),
@@ -313,17 +266,10 @@ def _cmd_closed3(args) -> tuple[dict, list[str]]:
     gens = _parse_gens(args.gens)
     if len(gens) != 3:
         raise ParseError("closed3 needs exactly three generators a,b,c")
-    if min(gens) <= 0:
-        raise NonPositive("generators must be positive")
     spec = parse_lambda(args.weight)
     ctx = ThreeVarContext(*gens)
     lam = spec.resolved
-    pa, pb, pc = lam ** ctx.a, lam ** ctx.b, lam ** ctx.c
-    if pa.is_one() or pb.is_one():
-        raise PreconditionViolated(
-            "lambda**a and lambda**b must differ from 1 for the closed three-variable forms"
-        )
-    if pc.is_one():
+    if (lam**ctx.c).is_one():
         result = closed_three_var_degenerate(ctx, lam)
     else:
         result = closed_three_var(ctx, lam)

@@ -456,7 +456,8 @@ def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             quo, rem = _pdivmod(poly, _cyclotomic_poly(d))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1 exactly")
             poly = quo
     return poly
 

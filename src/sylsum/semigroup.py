@@ -114,7 +114,8 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
                 dist[j] = nd
                 heapq.heappush(heap, (nd, j))
     # gcd(gens) == 1 makes every residue reachable
-    assert all(d is not None for d in dist)
+    if None in dist:
+        raise ArithmeticError(f"some residue mod {pivot} is unreachable from {A.gens}")
     return AperySet(pivot, tuple(dist))
 
 
@@ -177,7 +178,8 @@ def sylvester_number(A: GeneratorSet, pivot: int | None = None) -> int:
     ap = apery_set(A, pivot)
     a = ap.pivot
     value = Fraction(sum(ap.reps), a) - Fraction(a - 1, 2)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"genus {value} of {A.gens} is not an integer")
     return int(value)
 
 
@@ -188,5 +190,6 @@ def sylvester_sum(A: GeneratorSet, pivot: int | None = None) -> int:
     a = ap.pivot
     sq = sum(m * m for m in ap.reps)
     value = Fraction(sq, 2 * a) - Fraction(sum(ap.reps), 2) + Fraction(a * a - 1, 12)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"gap sum {value} of {A.gens} is not an integer")
     return int(value)

@@ -22,8 +22,11 @@ The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
 weighted formulas consume come from ``exactnum.power_sums``, an exact
 integer Horner pass over the sorted Apery set (all t at once).
 
-``dispatch_sum`` picks the right route automatically; every route is
-cross-checked against brute-force enumeration in the test suite.
+``ROUTES`` declares each formula's domain once (fixed mu, generator count,
+fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
+The public formula functions, ``dispatch_sum`` and the CLI all go through
+``evaluate``; every route is cross-checked against brute-force enumeration
+in the test suite.
 """
 
 from __future__ import annotations
@@ -32,10 +35,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import Callable
 
 from .combinatorics import bernoulli, eulerian
 from .exactnum import QQ, FieldElement, Scalar, power_sums, to_element
-from .semigroup import GeneratorSet, NotCoprime, apery_set, validate_generators
+from .semigroup import (
+    GeneratorSet,
+    NonPositive,
+    NotCoprime,
+    apery_set,
+    validate_generators,
+)
 
 
 class InvalidWeight(ValueError):
@@ -89,54 +99,17 @@ class SumResult:
     pivot_used: int | None = None
 
 
-def _check_nonzero(lam: FieldElement) -> None:
-    if lam.is_zero():
-        raise PreconditionViolated("weight must be nonzero")
+# A sorted generator set, or generators in the order a closed form reads them.
+Gens = GeneratorSet | tuple[int, ...]
 
 
-def _empty(A: GeneratorSet) -> bool:
-    return 1 in A
+# ---------------------------------------------------------------------------
+# formula bodies: (A, mu, lam, pivot) -> value, called only by ``evaluate``
+# once the route's declared domain and pivot rule hold
 
 
-def _zero(lam: FieldElement, formula: Formula) -> SumResult:
-    return SumResult(lam.field.zero, formula, None)
-
-
-def _pick_pivot(A: GeneratorSet, lam: FieldElement, want_unit_power: bool = False) -> int | None:
-    """Smallest generator whose lambda power is (not) 1."""
-    for a in A:
-        if (lam ** a).is_one() == want_unit_power:
-            return a
-    return None
-
-
-def weighted_power_sum(
-    A: GeneratorSet, mu: int, lam: Scalar, pivot: int | None = None
-) -> SumResult:
-    """General formula for any mu >= 0, valid when lambda**pivot != 1.
-
-    sum_{n=0}^{mu} (-a)^n / (L-1)^{n+1} * C(mu,n)
-                 * sum_{j=0}^{n} E(n, n-j) L^j * S[mu-n]
-      + (-1)^{mu+1} / (lambda-1)^{mu+1} * sum_{j=0}^{mu} E(mu, mu-j) lambda^j
-
-    with a the pivot, L = lambda**a, E the Eulerian numbers and S the
-    weighted power sums over the Apery set.
-    """
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if _empty(A):
-        return _zero(lam, Formula.GENERAL)
-    if lam.is_one():
-        raise PreconditionViolated("weight 1 needs the unweighted power-sum formula")
-    if pivot is None:
-        pivot = _pick_pivot(A, lam, want_unit_power=False)
-        assert pivot is not None  # coprimality forces one unless lambda == 1
+def _general(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
     La = lam**pivot
-    if La.is_one():
-        raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
-
     reps = apery_set(A, pivot).reps
     S = power_sums(lam, reps, mu)
     d_inv = (La - 1).inverse()
@@ -163,74 +136,32 @@ def weighted_power_sum(
         if e:
             tail = tail + e * lam_pow
         lam_pow = lam_pow * lam
-    total = total + (-1) ** (mu + 1) * lam1_inv ** (mu + 1) * tail
-    return SumResult(total, Formula.GENERAL, pivot)
+    return total + (-1) ** (mu + 1) * lam1_inv ** (mu + 1) * tail
 
 
-def weighted_sum_mu2(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
-    """Specialised mu = 2 formula (lambda**pivot != 1)."""
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if _empty(A):
-        return _zero(lam, Formula.MU2)
-    if lam.is_one():
-        raise PreconditionViolated("weight 1 needs the unweighted power-sum formula")
-    if pivot is None:
-        pivot = _pick_pivot(A, lam, want_unit_power=False)
+def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
     La = lam**pivot
-    if La.is_one():
-        raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
     s0, s1, s2 = power_sums(lam, apery_set(A, pivot).reps, 2)
     d_inv = (La - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     a = pivot
-    value = (
+    return (
         d_inv * s2
         - 2 * a * La * d_inv**2 * s1
         + a * a * La * (La + 1) * d_inv**3 * s0
         - lam * (lam + 1) * lam1_inv**3
     )
-    return SumResult(value, Formula.MU2, pivot)
 
 
-def weighted_sum_mu1(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
-    """Specialised mu = 1 formula (lambda**pivot != 1)."""
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if _empty(A):
-        return _zero(lam, Formula.MU1)
-    if lam.is_one():
-        raise PreconditionViolated("weight 1 needs the unweighted power-sum formula")
-    if pivot is None:
-        pivot = _pick_pivot(A, lam, want_unit_power=False)
+def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
     La = lam**pivot
-    if La.is_one():
-        raise PreconditionViolated(f"lambda**{pivot} == 1; choose another pivot")
     s0, s1 = power_sums(lam, apery_set(A, pivot).reps, 1)
     d_inv = (La - 1).inverse()
     lam1_inv = (lam - 1).inverse()
-    value = d_inv * s1 - pivot * La * d_inv**2 * s0 + lam * lam1_inv**2
-    return SumResult(value, Formula.MU1, pivot)
+    return d_inv * s1 - pivot * La * d_inv**2 * s0 + lam * lam1_inv**2
 
 
-def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
-    """mu = 1 when lambda**pivot == 1 but lambda != 1 (root-of-unity weight).
-
-    (1/2a) sum_{i=1}^{a-1} reps[i]^2 lambda^i
-      - (1/2) sum_{i=1}^{a-1} reps[i] lambda^i + lambda/(lambda-1)^2
-    """
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if _empty(A):
-        return _zero(lam, Formula.MU1_ROU)
-    if lam.is_one():
-        raise PreconditionViolated("weight must differ from 1")
-    if pivot is None:
-        pivot = _pick_pivot(A, lam, want_unit_power=True)
-        if pivot is None:
-            raise PreconditionViolated("no generator a with lambda**a == 1")
-    if not (lam**pivot).is_one():
-        raise PreconditionViolated(f"lambda**{pivot} != 1; this form needs a unit power")
+def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
     reps = apery_set(A, pivot).reps
     a = pivot
     sq = lam.field.zero
@@ -242,23 +173,10 @@ def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None)
         sq = sq + (m * m) * lam_pow
         lin = lin + m * lam_pow
     lam1_inv = (lam - 1).inverse()
-    value = Fraction(1, 2 * a) * sq - Fraction(1, 2) * lin + lam * lam1_inv**2
-    return SumResult(value, Formula.MU1_ROU, pivot)
+    return Fraction(1, 2 * a) * sq - Fraction(1, 2) * lin + lam * lam1_inv**2
 
 
-def unweighted_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> SumResult:
-    """Pure power sum over the gaps (weight 1), via Bernoulli numbers.
-
-    sum_{kappa=0}^{mu} sum_{j=1}^{kappa+1} C(mu,kappa) C(kappa+1,j)
-        (-1)^{j-1}/(kappa+1) * a^{kappa-j} B_{kappa-j+1}
-        * sum_{i=1}^{a-1} (reps[i]-i)^j reps[i]^{mu-kappa}
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if _empty(A):
-        return _zero(QQ.one, Formula.UNWEIGHTED)
-    if pivot is None:
-        pivot = A.min
+def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
     reps = apery_set(A, pivot).reps
     a = pivot
     total = Fraction(0)
@@ -277,8 +195,227 @@ def unweighted_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> 
                 * bernoulli(kappa - j + 1)
                 * inner
             )
-    assert total.denominator == 1
-    return SumResult(QQ.from_rational(total), Formula.UNWEIGHTED, pivot)
+    if total.denominator != 1:
+        raise ArithmeticError(f"unweighted power sum {total} is not an integer")
+    return QQ.from_rational(total)
+
+
+def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
+    reps = apery_set(A, pivot).reps
+    a = pivot
+    signed = sum((-1) ** reps[i] * reps[i] for i in range(1, a))
+    signs = sum((-1) ** reps[i] for i in range(1, a))
+    value = Fraction(-signed, 2) + Fraction(a * signs, 4) + Fraction(a - 1, 4)
+    if value.denominator != 1:
+        raise ArithmeticError(f"alternating sum {value} is not an integer")
+    return QQ.from_rational(value)
+
+
+def _two_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+    a, b = A
+    pa, pb = lam**a, lam**b
+    if pa.is_one() or pb.is_one():
+        raise PreconditionViolated("lambda**a and lambda**b must both differ from 1")
+    inv_a = (pa - 1).inverse()
+    inv_b = (pb - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    pab = lam ** (a * b)
+    return (
+        lam * lam1_inv**2
+        + (a * b) * pab * inv_a * inv_b
+        - (pab - 1) * ((a + b) * pa * pb - a * pa - b * pb) * inv_a**2 * inv_b**2
+    )
+
+
+def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+    a, b = A
+    pa, pb = lam**a, lam**b
+    if not pb.is_one():
+        raise PreconditionViolated("this form needs lambda**b == 1")
+    if pa.is_one():
+        raise PreconditionViolated("lambda**a must differ from 1")
+    inv_a = (pa - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    return (
+        lam * lam1_inv**2
+        + Fraction((a - 1) * a * b, 2) * inv_a
+        - (a * a) * pa * inv_a**2
+    )
+
+
+def _three_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+    ctx = ThreeVarContext(*A)
+    a, b, c = ctx.a, ctx.b, ctx.c
+    pa, pb, pc = lam**a, lam**b, lam**c
+    if pa.is_one() or pb.is_one() or pc.is_one():
+        raise PreconditionViolated("all three lambda powers must differ from 1")
+    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
+    q1 = lam**l1 - 1
+    q2 = lam**l2 - 1
+    den_inv = ((pa - 1) * (pb - 1) * (pc - 1)).inverse()
+    lam1_inv = (lam - 1).inverse()
+    head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
+    harmonic = (
+        a * (pa - 1).inverse() + b * (pb - 1).inverse() + c * (pc - 1).inverse()
+    )
+    return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
+
+
+def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+    ctx = ThreeVarContext(*A)
+    a, b, c = ctx.a, ctx.b, ctx.c
+    pa, pb, pc = lam**a, lam**b, lam**c
+    if pa.is_one() or pb.is_one():
+        raise PreconditionViolated("lambda**a and lambda**b must differ from 1")
+    if not pc.is_one():
+        raise PreconditionViolated("this form needs lambda**c == 1")
+    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
+    inv_ab = ((pa - 1) * (pb - 1)).inverse()
+    lam1_inv = (lam - 1).inverse()
+    inner = (
+        Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2)
+        - a * (pa - 1).inverse()
+        - b * (pb - 1).inverse()
+    )
+    return (
+        Fraction(l2, c) * (lam**l1 - 1) * inv_ab * inner
+        + Fraction(l1 * l2, c) * inv_ab
+        + lam * lam1_inv**2
+    )
+
+
+# ---------------------------------------------------------------------------
+# the route table
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One formula's domain and body.
+
+    ``mu``, ``arity`` and ``weight`` are the fixed exponent, generator count
+    and weight the formula computes (None: any).  ``pivot`` decides whether
+    a generator may serve as the Apery pivot; ``pivot_rule`` says the same
+    in words for error messages.  A route without ``pivot`` uses no Apery
+    set and reads the generators in the order given (the closed forms are
+    not symmetric in them).
+    """
+
+    body: Callable[..., FieldElement]
+    mu: int | None = None
+    arity: int | None = None
+    weight: int | None = None
+    pivot: Callable[[int, FieldElement], bool] | None = None
+    pivot_rule: str = ""
+
+
+def _non_unit_power(a: int, lam: FieldElement) -> bool:
+    return not (lam**a).is_one()
+
+
+ROUTES: dict[Formula, _Route] = {
+    Formula.GENERAL: _Route(_general, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
+    Formula.MU2: _Route(_mu2, mu=2, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
+    Formula.MU1: _Route(_mu1, mu=1, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
+    Formula.MU1_ROU: _Route(
+        _mu1_rou,
+        mu=1,
+        pivot=lambda a, lam: not lam.is_one() and (lam**a).is_one(),
+        pivot_rule="lambda**a == 1 != lambda",
+    ),
+    Formula.UNWEIGHTED: _Route(
+        _unweighted, weight=1, pivot=lambda a, lam: True, pivot_rule="any a"
+    ),
+    Formula.ALTERNATING: _Route(
+        _alternating, mu=1, weight=-1, pivot=lambda a, lam: a % 2 == 1, pivot_rule="a odd"
+    ),
+    Formula.TWO_VAR: _Route(_two_var, mu=1, arity=2),
+    Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, arity=2),
+    Formula.THREE_VAR: _Route(_three_var, mu=1, arity=3),
+    Formula.THREE_VAR_DEGENERATE: _Route(_three_var_degenerate, mu=1, arity=3),
+}
+
+
+def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None = None) -> SumResult:
+    """Run one formula after checking the domain its route declares.
+
+    Checks, in order: nonzero weight, mu >= 0, the route's fixed mu,
+    generator count and weight; an empty gap set (1 a generator) then gives
+    0.  A route with a pivot rule takes the smallest generator that meets
+    it, or checks the given ``pivot`` against it.  Raises
+    ``PreconditionViolated`` when a condition on mu, lambda or the pivot
+    fails and ``ConditionNotMet`` for a wrong number of generators.
+    """
+    route = ROUTES[formula]
+    lam = to_element(lam)
+    if lam.is_zero():
+        raise PreconditionViolated("weight must be nonzero")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if route.mu is not None and mu != route.mu:
+        raise PreconditionViolated(f"{formula.value} computes the mu = {route.mu} sum")
+    if route.arity is not None and len(A) != route.arity:
+        raise ConditionNotMet(f"{formula.value} needs exactly {route.arity} generators")
+    if route.weight is not None and lam != route.weight:
+        raise PreconditionViolated(f"{formula.value} needs weight {route.weight}")
+    if 1 in A:
+        return SumResult(lam.field.zero, formula, None)
+    if route.pivot is None:
+        return SumResult(route.body(A, mu, lam, None), formula, None)
+    candidates = tuple(A) if pivot is None else (pivot,)
+    pivot = next((a for a in candidates if route.pivot(a, lam)), None)
+    if pivot is None:
+        raise PreconditionViolated(
+            f"{formula.value} needs a pivot a with {route.pivot_rule}; none of {candidates} has it"
+        )
+    return SumResult(route.body(A, mu, lam, pivot), formula, pivot)
+
+
+# ---------------------------------------------------------------------------
+# public formula functions
+
+
+def weighted_power_sum(
+    A: GeneratorSet, mu: int, lam: Scalar, pivot: int | None = None
+) -> SumResult:
+    """General formula for any mu >= 0, valid when lambda**pivot != 1.
+
+    sum_{n=0}^{mu} (-a)^n / (L-1)^{n+1} * C(mu,n)
+                 * sum_{j=0}^{n} E(n, n-j) L^j * S[mu-n]
+      + (-1)^{mu+1} / (lambda-1)^{mu+1} * sum_{j=0}^{mu} E(mu, mu-j) lambda^j
+
+    with a the pivot, L = lambda**a, E the Eulerian numbers and S the
+    weighted power sums over the Apery set.
+    """
+    return evaluate(Formula.GENERAL, A, mu, lam, pivot)
+
+
+def weighted_sum_mu2(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
+    """Specialised mu = 2 formula (lambda**pivot != 1)."""
+    return evaluate(Formula.MU2, A, 2, lam, pivot)
+
+
+def weighted_sum_mu1(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
+    """Specialised mu = 1 formula (lambda**pivot != 1)."""
+    return evaluate(Formula.MU1, A, 1, lam, pivot)
+
+
+def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
+    """mu = 1 when lambda**pivot == 1 but lambda != 1 (root-of-unity weight).
+
+    (1/2a) sum_{i=1}^{a-1} reps[i]^2 lambda^i
+      - (1/2) sum_{i=1}^{a-1} reps[i] lambda^i + lambda/(lambda-1)^2
+    """
+    return evaluate(Formula.MU1_ROU, A, 1, lam, pivot)
+
+
+def unweighted_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> SumResult:
+    """Pure power sum over the gaps (weight 1), via Bernoulli numbers.
+
+    sum_{kappa=0}^{mu} sum_{j=1}^{kappa+1} C(mu,kappa) C(kappa+1,j)
+        (-1)^{j-1}/(kappa+1) * a^{kappa-j} B_{kappa-j+1}
+        * sum_{i=1}^{a-1} (reps[i]-i)^j reps[i]^{mu-kappa}
+    """
+    return evaluate(Formula.UNWEIGHTED, A, mu, 1, pivot)
 
 
 def alternating_sum(A: GeneratorSet, pivot: int | None = None) -> SumResult:
@@ -286,23 +423,18 @@ def alternating_sum(A: GeneratorSet, pivot: int | None = None) -> SumResult:
 
     -(1/2) sum (-1)^{reps[i]} reps[i] + (a/4) sum (-1)^{reps[i]} + (a-1)/4
     """
-    if _empty(A):
-        return _zero(QQ.one, Formula.ALTERNATING)
-    if pivot is None:
-        pivot = next(a for a in A if a % 2 == 1)  # gcd 1 forces an odd generator
-    if pivot % 2 == 0:
-        raise PreconditionViolated("the alternating form needs an odd pivot")
-    reps = apery_set(A, pivot).reps
-    a = pivot
-    signed = sum((-1) ** reps[i] * reps[i] for i in range(1, a))
-    signs = sum((-1) ** reps[i] for i in range(1, a))
-    value = Fraction(-signed, 2) + Fraction(a * signs, 4) + Fraction(a - 1, 4)
-    assert value.denominator == 1
-    return SumResult(QQ.from_rational(value), Formula.ALTERNATING, pivot)
+    return evaluate(Formula.ALTERNATING, A, 1, -1, pivot)
 
 
 # ---------------------------------------------------------------------------
 # fully closed two- and three-generator forms (mu = 1)
+
+
+def _in_order(*gens: int) -> tuple[int, ...]:
+    """Validated generators in the caller's order; a repeated generator is
+    dropped, so the route's generator count rejects it."""
+    A = validate_generators(gens)
+    return gens if len(A) == len(gens) else A.gens
 
 
 def closed_two_var(a: int, b: int, lam: Scalar) -> SumResult:
@@ -313,26 +445,7 @@ def closed_two_var(a: int, b: int, lam: Scalar) -> SumResult:
 
     written with L = lambda.
     """
-    A = validate_generators([a, b])
-    if len(A) != 2:
-        raise ConditionNotMet("two distinct generators are required")
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if _empty(A):
-        return _zero(lam, Formula.TWO_VAR)
-    pa, pb = lam**a, lam**b
-    if pa.is_one() or pb.is_one():
-        raise PreconditionViolated("lambda**a and lambda**b must both differ from 1")
-    inv_a = (pa - 1).inverse()
-    inv_b = (pb - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    pab = lam ** (a * b)
-    value = (
-        lam * lam1_inv**2
-        + (a * b) * pab * inv_a * inv_b
-        - (pab - 1) * ((a + b) * pa * pb - a * pa - b * pb) * inv_a**2 * inv_b**2
-    )
-    return SumResult(value, Formula.TWO_VAR, None)
+    return evaluate(Formula.TWO_VAR, _in_order(a, b), 1, lam)
 
 
 def closed_two_var_degenerate(a: int, b: int, lam: Scalar) -> SumResult:
@@ -340,28 +453,7 @@ def closed_two_var_degenerate(a: int, b: int, lam: Scalar) -> SumResult:
 
     lambda/(lambda-1)^2 + (a-1)ab/(2(L^a-1)) - a^2 L^a/(L^a-1)^2
     """
-    A = validate_generators([a, b])
-    if len(A) != 2:
-        raise ConditionNotMet("two distinct generators are required")
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    if _empty(A):
-        return _zero(lam, Formula.TWO_VAR_DEGENERATE)
-    if lam.is_one():
-        raise PreconditionViolated("weight must differ from 1")
-    pa, pb = lam**a, lam**b
-    if not pb.is_one():
-        raise PreconditionViolated("this form needs lambda**b == 1")
-    if pa.is_one():
-        raise PreconditionViolated("lambda**a must differ from 1")
-    inv_a = (pa - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    value = (
-        lam * lam1_inv**2
-        + Fraction((a - 1) * a * b, 2) * inv_a
-        - (a * a) * pa * inv_a**2
-    )
-    return SumResult(value, Formula.TWO_VAR_DEGENERATE, None)
+    return evaluate(Formula.TWO_VAR_DEGENERATE, _in_order(a, b), 1, lam)
 
 
 @dataclass(frozen=True)
@@ -384,7 +476,7 @@ class ThreeVarContext:
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
         if min(a, b, c) < 1:
-            raise ValueError("generators must be positive")
+            raise NonPositive("generators must be positive")
         if gcd(a, b, c) != 1:
             raise NotCoprime(f"gcd({a},{b},{c}) != 1")
         if lcm(b, c) % a != 0:
@@ -401,7 +493,8 @@ class ThreeVarContext:
 
     def genus(self) -> int:
         g = self.frobenius()
-        assert (g + 1) % 2 == 0
+        if (g + 1) % 2 != 0:
+            raise ArithmeticError(f"Frobenius number {g} of {self} is not odd")
         return (g + 1) // 2
 
     def gap_sum(self) -> int:
@@ -414,7 +507,8 @@ class ThreeVarContext:
             + 2 * (l1 * l1 + l2 * l2)
             - 1
         )
-        assert total % 12 == 0
+        if total % 12 != 0:
+            raise ArithmeticError(f"12 * gap sum {total} of {self} is not divisible by 12")
         return total // 12
 
 
@@ -425,25 +519,7 @@ def closed_three_var(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
       - (L^{l1}-1)(L^{l2}-1)/D * (a/(L^a-1) + b/(L^b-1) + c/(L^c-1))
       + L/(L-1)^2,        D = (L^a-1)(L^b-1)(L^c-1)
     """
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    a, b, c = ctx.a, ctx.b, ctx.c
-    if 1 in (a, b, c):
-        return _zero(lam, Formula.THREE_VAR)
-    pa, pb, pc = lam**a, lam**b, lam**c
-    if pa.is_one() or pb.is_one() or pc.is_one():
-        raise PreconditionViolated("all three lambda powers must differ from 1")
-    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    q1 = lam**l1 - 1
-    q2 = lam**l2 - 1
-    den_inv = ((pa - 1) * (pb - 1) * (pc - 1)).inverse()
-    lam1_inv = (lam - 1).inverse()
-    head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
-    harmonic = (
-        a * (pa - 1).inverse() + b * (pb - 1).inverse() + c * (pc - 1).inverse()
-    )
-    value = head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
-    return SumResult(value, Formula.THREE_VAR, None)
+    return evaluate(Formula.THREE_VAR, (ctx.a, ctx.b, ctx.c), 1, lam)
 
 
 def closed_three_var_degenerate(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
@@ -453,32 +529,7 @@ def closed_three_var_degenerate(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
         * (l1 + l2/2 - a - b - c/2 - a/(L^a-1) - b/(L^b-1))
       + l1 l2/(c(L^a-1)(L^b-1)) + L/(L-1)^2
     """
-    lam = to_element(lam)
-    _check_nonzero(lam)
-    a, b, c = ctx.a, ctx.b, ctx.c
-    if 1 in (a, b, c):
-        return _zero(lam, Formula.THREE_VAR_DEGENERATE)
-    if lam.is_one():
-        raise PreconditionViolated("weight must differ from 1")
-    pa, pb, pc = lam**a, lam**b, lam**c
-    if pa.is_one() or pb.is_one():
-        raise PreconditionViolated("lambda**a and lambda**b must differ from 1")
-    if not pc.is_one():
-        raise PreconditionViolated("this form needs lambda**c == 1")
-    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    inv_ab = ((pa - 1) * (pb - 1)).inverse()
-    lam1_inv = (lam - 1).inverse()
-    inner = (
-        Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2)
-        - a * (pa - 1).inverse()
-        - b * (pb - 1).inverse()
-    )
-    value = (
-        Fraction(l2, c) * (lam**l1 - 1) * inv_ab * inner
-        + Fraction(l1 * l2, c) * inv_ab
-        + lam * lam1_inv**2
-    )
-    return SumResult(value, Formula.THREE_VAR_DEGENERATE, None)
+    return evaluate(Formula.THREE_VAR_DEGENERATE, (ctx.a, ctx.b, ctx.c), 1, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +538,10 @@ def closed_three_var_degenerate(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
 def dispatch_sum(req: SumRequest) -> SumResult:
     """Route a request to the applicable formula.
 
-    Empty gap set -> 0; weight 1 -> the Bernoulli power-sum form; otherwise
-    the general form on the smallest pivot a with lambda**a != 1 (one always
-    exists for lambda != 1 because the generators are coprime).
+    Weight 1 -> the Bernoulli power-sum form; otherwise the general form on
+    the smallest pivot a with lambda**a != 1 (one always exists for
+    lambda != 1 because the generators are coprime).  An empty gap set gives
+    0 under the same label, with no pivot.
     """
-    lam = req.lam
-    if lam.is_zero():
-        raise InvalidWeight("weight must be nonzero")
-    if _empty(req.A):
-        return SumResult(lam.field.zero, Formula.ORACLE, None)
-    if lam.is_one():
-        return unweighted_power_sum(req.A, req.mu)
-    pivot = _pick_pivot(req.A, lam, want_unit_power=False)
-    assert pivot is not None
-    return weighted_power_sum(req.A, req.mu, lam, pivot)
+    formula = Formula.UNWEIGHTED if req.lam.is_one() else Formula.GENERAL
+    return evaluate(formula, req.A, req.mu, req.lam)

@@ -258,6 +258,37 @@ class TestForceFormula:
         )
         assert code == 3
 
+    def test_forced_oracle_rejects_negative_mu(self, capsys):
+        code, _, err = run(
+            capsys, "sum", "--gens", "3,8", "--mu", "-1", "--lambda", "2",
+            "--force-formula", "oracle",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "name, gens, mu, lam",
+        [
+            ("mu2_thm2", "3,8", "1", "2"),
+            ("mu1_thm3", "3,8", "2", "2"),
+            ("mu1_rou_thm4", "4,6,9", "2", "zeta(4)"),
+            ("unweighted_thm5", "3,8", "1", "2"),
+            ("alternating_cor1", "3,8", "1", "2"),
+            ("two_var_closed", "3,8", "3", "2"),
+            ("two_var_degenerate", "3,8,13", "1", "zeta(8)"),
+            ("three_var_thm6", "6,9,10", "2", "2"),
+            ("three_var_thm7", "3,9,10", "2", "-1"),
+        ],
+    )
+    def test_forced_formula_outside_declared_domain(self, capsys, name, gens, mu, lam):
+        # each formula computes one fixed mu, generator count or weight only
+        code, out, err = run(
+            capsys, "sum", "--gens", gens, "--mu", mu, "--lambda", lam,
+            "--force-formula", name,
+        )
+        assert code == 3, (name, out)
+        assert json.loads(err)["error"] in ("PreconditionViolated", "ConditionNotMet")
+
 
 class TestClosed3Command:
     def test_routes_to_plain_form(self, capsys):
@@ -283,6 +314,16 @@ class TestClosed3Command:
     def test_needs_three_generators(self, capsys):
         code, _, _ = run(capsys, "closed3", "--gens", "3,8", "--lambda", "2")
         assert code == 2
+
+    def test_generator_one_has_no_gaps(self, capsys):
+        code, out, err = run(capsys, "closed3", "--gens", "1,6,9", "--lambda", "1")
+        assert code == 0, err
+        assert out.splitlines()[0] == "0"
+
+    def test_nonpositive_generator(self, capsys):
+        code, _, err = run(capsys, "closed3", "--gens", "0,6,9", "--lambda", "2")
+        assert code == 2
+        assert json.loads(err)["error"] == "NonPositive"
 
 
 def test_verify_exit_zero_iff_agrees(capsys):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sylsum import sums
 from sylsum.exactnum import NumberField, power_sums, quadratic_field, to_element, zeta
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
+    AperySet,
     NotCoprime,
     gap_set,
     sylvester_number,
@@ -239,6 +241,12 @@ class TestUnweightedFormula:
                 direct = sum(n**mu for n in gap_set(A))
                 assert unweighted_power_sum(A, mu).value == direct
 
+    def test_wrong_apery_set_raises(self, monkeypatch):
+        # 17 is not congruent to 1 mod 3, so the gap count comes out as 22/3
+        monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, 17, 8)))
+        with pytest.raises(ArithmeticError):
+            unweighted_power_sum(validate_generators([3, 8]), 0)
+
 
 class TestAlternatingSum:
     def test_3_11_17(self):
@@ -400,6 +408,11 @@ class TestDispatch:
     def test_empty_gap_set(self):
         result = dispatch_sum(SumRequest(validate_generators([1, 6]), 2, to_element(5)))
         assert result.value == 0
+        assert result.formula_used is Formula.GENERAL
+        assert result.pivot_used is None
+        result = dispatch_sum(SumRequest(validate_generators([1, 6]), 2, to_element(1)))
+        assert result.value == 0
+        assert result.formula_used is Formula.UNWEIGHTED
         assert result.pivot_used is None
 
     def test_zero_weight_rejected(self):

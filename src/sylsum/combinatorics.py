@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 
 class EulerianTable:
@@ -54,10 +54,14 @@ class EulerianTable:
 
 class BernoulliCache:
     """Bernoulli numbers B_0, B_1, ... via the defining recurrence
-    sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1."""
+    sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1.
+
+    Each row sums integers over ``_den``, the lcm of the denominators so
+    far, and forms a single Fraction."""
 
     def __init__(self):
         self._values: list[Fraction] = [Fraction(1)]
+        self._den = 1
         self._lock = threading.Lock()
 
     def value(self, n: int) -> Fraction:
@@ -68,9 +72,13 @@ class BernoulliCache:
                 while len(self._values) <= n:
                     r = len(self._values)
                     acc = sum(
-                        comb(r + 1, j) * self._values[j] for j in range(r)
+                        comb(r + 1, j) * b.numerator * (self._den // b.denominator)
+                        for j, b in enumerate(self._values)
+                        if b
                     )
-                    self._values.append(Fraction(-acc, r + 1))
+                    b = Fraction(-acc, (r + 1) * self._den)
+                    self._den = lcm(self._den, b.denominator)
+                    self._values.append(b)
         return self._values[n]
 
 

@@ -6,12 +6,15 @@ coefficients.  The rational field itself is the degree-1 quotient Q[x]/(x),
 so a single element type covers rational weights, roots of unity and
 quadratic irrationals alike.
 
-The one hot loop of the package, the weighted power sums
-sum_m m**t * lam**m over an Apery set, does not go through FieldElement
-arithmetic: ``power_sums`` writes lam as an integer polynomial P(y) over a
-common denominator d, in a basis y = c*x that makes the modulus integral,
-and evaluates every t in a single integer Horner pass.  The same code serves
-Q, cyclotomic, quadratic and arbitrary ``Q[x]/(f)`` fields.
+The hot paths of the package do not go through FieldElement arithmetic.
+``_IntegralBasis`` writes a field in a basis y = c*x that makes the
+modulus integral, so lam is an integer polynomial P(y) over a common
+denominator d.  On it, ``power_sums`` evaluates the weighted power sums
+sum_m m**t * lam**m over an Apery set for every t in one integer Horner
+pass, and ``eulerian_sum`` evaluates the whole general formula (Theorem 1)
+on those same integers with one division at the end; only its two
+inverses are FieldElement operations.  The same code serves Q,
+cyclotomic, quadratic and arbitrary ``Q[x]/(f)`` fields.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -367,6 +370,103 @@ def _imatrix(q: list[int], g: list[int]) -> list[tuple[int, ...]]:
     return [tuple(col[i] for col in cols) for i in range(n)]
 
 
+class _IntegralBasis:
+    """A field Q[x]/(f) written as Q[y]/(g) with y = c*x, g monic integral.
+
+    c is the lcm of the denominators of f and g(y) = c**n f(y/c), so the
+    product of two integer polynomials stays integral modulo g.  Every
+    element is an integer vector over one common denominator.
+    """
+
+    __slots__ = ("field", "g", "c_pows")
+
+    def __init__(self, field: NumberField):
+        n = field.degree
+        c = _denominator_lcm(field.modulus)
+        self.field = field
+        self.g = [int(f * c ** (n - k)) for k, f in enumerate(field.modulus)]
+        self.c_pows = [c**k for k in range(n)]
+
+    def split(self, e: FieldElement, scale: int = 1) -> tuple[list[int], int]:
+        """e / scale as (P, d): the integer vector P(y) over the least d."""
+        coeffs = [a / (scale * ck) for a, ck in zip(e.coeffs, self.c_pows)]
+        d = _denominator_lcm(coeffs)
+        return [int(a * d) for a in coeffs], d
+
+    def element(self, v: list[int], denominator: int) -> FieldElement:
+        """The field element v(y) / denominator, back in the basis of x."""
+        return FieldElement(
+            self.field, tuple(Fraction(a * ck, denominator) for a, ck in zip(v, self.c_pows))
+        )
+
+    def one(self) -> list[int]:
+        return [1] + [0] * (len(self.g) - 2)
+
+    def mul(self, p: list[int], q: list[int]) -> list[int]:
+        return [sum(map(mul, row, q)) for row in _imatrix(p, self.g)]
+
+    def power(self, p: list[int], e: int) -> list[int]:
+        """p**e mod g by squaring."""
+        result = self.one()
+        while e:
+            rows = _imatrix(p, self.g)
+            if e & 1:
+                result = [sum(map(mul, row, result)) for row in rows]
+            e >>= 1
+            if e:
+                p = [sum(map(mul, row, p)) for row in rows]
+        return result
+
+    def powers(self, p: list[int], k: int) -> list[list[int]]:
+        """[p**0, p**1, ..., p**k] mod g."""
+        out = [self.one()]
+        for _ in range(k):
+            out.append(self.mul(out[-1], p))
+        return out
+
+    def apery_horner(self, P: list[int], d: int, exps: list[int], mu: int) -> list[list[int]]:
+        """H[t] = d**M * sum_m m**t * (P/d)**m for t = 0..mu, M = exps[0].
+
+        ``exps`` is nonempty and sorted downwards.  Walking it from M,
+        H_t <- P**gap * H_t (mod g) + m**t * d**(M-m), which ends at H[t]
+        after the smallest exponent's own power of P.  ``P**gap`` and
+        ``d**gap`` are computed once per distinct gap.
+        """
+        steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+
+        def step(gap: int):
+            if gap not in steps:
+                steps[gap] = (_imatrix(self.power(P, gap), self.g), d**gap)
+            return steps[gap]
+
+        H = [[0] * len(P) for _ in range(mu + 1)]
+        d_pow = 1  # d**(M - m)
+        prev = exps[0]
+        for m in exps:
+            if m != prev:
+                rows, d_gap = step(prev - m)
+                d_pow *= d_gap
+                H = [[sum(map(mul, row, h)) for row in rows] for h in H]
+                prev = m
+            term = d_pow
+            for h in H:
+                h[0] += term
+                term *= m
+        if prev:
+            rows, _ = step(prev)
+            H = [[sum(map(mul, row, h)) for row in rows] for h in H]
+        return H
+
+
+def _sorted_exponents(exponents: Iterable[int], mu: int) -> list[int]:
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    exps = sorted(exponents, reverse=True)
+    if exps and exps[-1] < 0:
+        raise ValueError("exponents must be nonnegative")
+    return exps
+
+
 def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[FieldElement]:
     """S[t] = sum of m**t * lam**m over the exponents m, for t = 0..mu.
 
@@ -383,62 +483,83 @@ def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[Fie
         d**M * S[t] after the smallest exponent's own power of P;
       * one division by d**M and the map y**k -> c**k x**k return to the
         field's basis.
-
-    ``P**gap`` and ``d**gap`` are computed once per distinct gap.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    exps = sorted(exponents, reverse=True)
-    if exps and exps[-1] < 0:
-        raise ValueError("exponents must be nonnegative")
-    field = lam.field
+    exps = _sorted_exponents(exponents, mu)
     if not exps:
-        return [field.zero] * (mu + 1)
-    n = field.degree
-    c = _denominator_lcm(field.modulus)
-    g = [int(f * c ** (n - k)) for k, f in enumerate(field.modulus)]
-    coeffs = [a / c**k for k, a in enumerate(lam.coeffs)]
-    d = _denominator_lcm(coeffs)
-    P = [int(a * d) for a in coeffs]
-
-    steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
-
-    def step(gap: int):
-        if gap not in steps:
-            power, base, e = [1] + [0] * (n - 1), P, gap
-            while e:
-                rows = _imatrix(base, g)
-                if e & 1:
-                    power = [sum(map(mul, row, power)) for row in rows]
-                e >>= 1
-                if e:
-                    base = [sum(map(mul, row, base)) for row in rows]
-            steps[gap] = (_imatrix(power, g), d**gap)
-        return steps[gap]
-
-    H = [[0] * n for _ in range(mu + 1)]
-    d_pow = 1  # d**(M - m)
-    prev = exps[0]
-    for m in exps:
-        if m != prev:
-            rows, d_gap = step(prev - m)
-            d_pow *= d_gap
-            H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-            prev = m
-        term = d_pow
-        for h in H:
-            h[0] += term
-            term *= m
-    if prev:
-        rows, _ = step(prev)
-        H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-
+        return [lam.field.zero] * (mu + 1)
+    basis = _IntegralBasis(lam.field)
+    P, d = basis.split(lam)
     scale = d ** exps[0]
-    c_pows = [c**k for k in range(n)]
-    return [
-        FieldElement(field, tuple(Fraction(v * ck, scale) for v, ck in zip(h, c_pows)))
-        for h in H
-    ]
+    return [basis.element(h, scale) for h in basis.apery_horner(P, d, exps, mu)]
+
+
+def eulerian_sum(
+    lam: FieldElement,
+    exponents: Iterable[int],
+    mu: int,
+    a: int,
+    eulerian_rows: Sequence[Sequence[int]],
+) -> FieldElement:
+    """The combination of Theorem 1, with L = lam**a and S = power_sums:
+
+      sum_{n=0}^{mu} C(mu,n) (-a)**n A_n(L) S[mu-n] / (L-1)**(n+1)
+        + (-1)**(mu+1) A_mu(lam) / (lam-1)**(mu+1),
+
+    where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated in the
+    integral basis of ``power_sums`` (lam = P(y)/d, H_t = d**M * S[t]) with
+    integer vectors and one division at the end:
+
+      * L = U/V with U = P**a mod g and V = d**a, and A_n(L) = N_n / V**n
+        with N_n = sum_j E_nj U**j V**(n-j) (homogeneous in U and V);
+      * 1/(L-1) = V*W/N and 1/(lam-1) = d*W1/N1, where W/N = 1/(U-V) and
+        W1/N1 = 1/(P-d), each over its least integer denominator, come from
+        ``FieldElement.inverse`` of L - 1 and lam - 1 (so a zero divisor of
+        a reducible modulus raises ``ZeroDivisor`` with the same message);
+      * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
+        over N**(mu+1) d**M, by Horner in W; the tail is
+        (-1)**(mu+1) d W1**(mu+1) T / N1**(mu+1), T = sum_j E_mu,j P**j d**(mu-j).
+
+    The exponent list must be nonempty (an Apery set holds 0), and lam**a
+    and lam must differ from 1.
+    """
+    exps = _sorted_exponents(exponents, mu)
+    if not exps:
+        raise ValueError("exponents must be nonempty")
+    basis = _IntegralBasis(lam.field)
+    P, d = basis.split(lam)
+    U, V = basis.power(P, a), d**a
+    W, N = basis.split((basis.element(U, V) - 1).inverse(), V)
+    W1, N1 = basis.split((lam - 1).inverse(), d)
+    H = basis.apery_horner(P, d, exps, mu)
+
+    U_pows = basis.powers(U, mu)
+    acc = [0] * len(P)
+    N_pow = 1  # N**(mu-n)
+    for n in range(mu, -1, -1):
+        X = basis.mul(_homogeneous(eulerian_rows[n], U_pows, V), H[mu - n])
+        k = comb(mu, n) * (-a) ** n * N_pow
+        acc = [s + k * x for s, x in zip(basis.mul(acc, W), X)]
+        N_pow *= N
+    main = basis.mul(acc, [V * w for w in W])  # over N**(mu+1) * d**M
+    T = _homogeneous(eulerian_rows[mu], basis.powers(P, mu), d)
+    tail = basis.mul(basis.power(W1, mu + 1), T)  # times (-1)**(mu+1) d / N1**(mu+1)
+
+    main_den = N_pow * d ** exps[0]
+    tail_den = N1 ** (mu + 1)
+    k = (-1) ** (mu + 1) * d * main_den
+    return basis.element([s * tail_den + k * t for s, t in zip(main, tail)], main_den * tail_den)
+
+
+def _homogeneous(row: Sequence[int], pows: list[list[int]], v: int) -> list[int]:
+    """sum_j row[j] * pows[j] * v**(n-j) with n = len(row) - 1."""
+    out = [0] * len(pows[0])
+    scale = 1  # v**(n-j)
+    for e, p in zip(reversed(row), reversed(pows[: len(row)])):
+        if e:
+            k = e * scale
+            out = [o + k * x for o, x in zip(out, p)]
+        scale *= v
+    return out
 
 
 # ---------------------------------------------------------------------------

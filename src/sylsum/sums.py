@@ -19,8 +19,13 @@ Which formula applies depends on lambda:
     no Apery set at all, under divisibility side conditions.
 
 The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
-weighted formulas consume come from ``exactnum.power_sums``, an exact
-integer Horner pass over the sorted Apery set (all t at once).
+weighted formulas consume come from an exact integer Horner pass over the
+sorted Apery set (all t at once).  The general formula is evaluated whole
+by ``exactnum.eulerian_sum`` in the same integer basis, with one division
+at the end; this module hands it the Apery set and the Eulerian rows and
+never sees the integer vectors.  The Bernoulli form sums integer moments
+over one common denominator.  Every route returns its value in the
+weight's field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once (fixed mu, generator count,
 fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
@@ -38,7 +43,7 @@ from math import comb, gcd, lcm
 from typing import Callable
 
 from .combinatorics import bernoulli, eulerian
-from .exactnum import QQ, FieldElement, Scalar, power_sums, to_element
+from .exactnum import FieldElement, Scalar, eulerian_sum, power_sums, to_element
 from .semigroup import (
     GeneratorSet,
     NonPositive,
@@ -109,34 +114,8 @@ Gens = GeneratorSet | tuple[int, ...]
 
 
 def _general(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    La = lam**pivot
-    reps = apery_set(A, pivot).reps
-    S = power_sums(lam, reps, mu)
-    d_inv = (La - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-
-    total = lam.field.zero
-    d_inv_pow = d_inv
-    La_pows = [lam.field.one]
-    for _ in range(mu):
-        La_pows.append(La_pows[-1] * La)
-    for n in range(mu + 1):
-        inner = lam.field.zero
-        for j in range(n + 1):
-            e = eulerian(n, n - j)
-            if e:
-                inner = inner + e * La_pows[j]
-        total = total + ((-pivot) ** n * comb(mu, n)) * d_inv_pow * inner * S[mu - n]
-        d_inv_pow = d_inv_pow * d_inv
-
-    tail = lam.field.zero
-    lam_pow = lam.field.one
-    for j in range(mu + 1):
-        e = eulerian(mu, mu - j)
-        if e:
-            tail = tail + e * lam_pow
-        lam_pow = lam_pow * lam
-    return total + (-1) ** (mu + 1) * lam1_inv ** (mu + 1) * tail
+    rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
+    return eulerian_sum(lam, apery_set(A, pivot).reps, mu, pivot, rows)
 
 
 def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
@@ -177,27 +156,32 @@ def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldEl
 
 
 def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
+    # Each coefficient C(mu,kappa) C(kappa+1,j) (-1)**(j-1) a**(kappa-j)
+    # B_b / (kappa+1), b = kappa+1-j, times den = a * lcm(Bernoulli
+    # denominators) * lcm(1..mu+1) is an integer; each moment
+    # sum_i (reps[i]-i)**j * reps[i]**(mu-kappa) is streamed over the Apery
+    # set (the i = 0 term is 0) and the integer total is divided once.
     reps = apery_set(A, pivot).reps
     a = pivot
-    total = Fraction(0)
+    B = [bernoulli(b) for b in range(mu + 2)]
+    b_lcm = lcm(*(x.denominator for x in B))
+    k_lcm = lcm(*range(1, mu + 2))
+    by_b = [a**b * x.numerator * (b_lcm // x.denominator) for b, x in enumerate(B)]
+    total = 0
     for kappa in range(mu + 1):
+        s = mu - kappa
+        by_kappa = comb(mu, kappa) * (k_lcm // (kappa + 1))
         for j in range(1, kappa + 2):
-            inner = sum(
-                (reps[i] - i) ** j * reps[i] ** (mu - kappa) for i in range(1, a)
-            )
-            if inner == 0:
-                continue
-            total += (
-                comb(mu, kappa)
-                * comb(kappa + 1, j)
-                * Fraction((-1) ** (j - 1), kappa + 1)
-                * Fraction(a) ** (kappa - j)
-                * bernoulli(kappa - j + 1)
-                * inner
-            )
-    if total.denominator != 1:
-        raise ArithmeticError(f"unweighted power sum {total} is not an integer")
-    return QQ.from_rational(total)
+            b = kappa + 1 - j
+            if by_b[b]:
+                moment = sum((r - i) ** j * r**s for i, r in enumerate(reps))
+                term = by_kappa * comb(kappa + 1, j) * by_b[b] * moment
+                total += term if j % 2 else -term
+    den = a * b_lcm * k_lcm
+    value, rem = divmod(total, den)
+    if rem:
+        raise ArithmeticError(f"unweighted power sum {Fraction(total, den)} is not an integer")
+    return lam.field.from_rational(value)
 
 
 def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
@@ -208,7 +192,7 @@ def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> Fie
     value = Fraction(-signed, 2) + Fraction(a * signs, 4) + Fraction(a - 1, 4)
     if value.denominator != 1:
         raise ArithmeticError(f"alternating sum {value} is not an integer")
-    return QQ.from_rational(value)
+    return lam.field.from_rational(value)
 
 
 def _two_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
@@ -384,7 +368,8 @@ def weighted_power_sum(
       + (-1)^{mu+1} / (lambda-1)^{mu+1} * sum_{j=0}^{mu} E(mu, mu-j) lambda^j
 
     with a the pivot, L = lambda**a, E the Eulerian numbers and S the
-    weighted power sums over the Apery set.
+    weighted power sums over the Apery set, evaluated in exact integers by
+    ``exactnum.eulerian_sum``.
     """
     return evaluate(Formula.GENERAL, A, mu, lam, pivot)
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sylsum.cli import (
     LambdaSpec,
@@ -11,10 +13,34 @@ from sylsum.cli import (
     parse_lambda,
     run_command,
 )
-from sylsum.exactnum import element_from_obj, quadratic_field, zeta
+from sylsum.exactnum import (
+    NumberField,
+    canonical_str,
+    cyclotomic_field,
+    element_from_obj,
+    quadratic_field,
+    zeta,
+)
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import validate_generators
 from sylsum.sums import InvalidWeight
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+
+
+def _elements_of(field):
+    return st.lists(fractions, min_size=field.degree, max_size=field.degree).map(field.element)
+
+
+weight_elements = st.one_of(
+    st.integers(1, 15).map(cyclotomic_field).flatmap(_elements_of),
+    st.builds(lambda n, k: zeta(n) ** k, st.integers(1, 15), st.integers(0, 14)),
+    st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 6, 10]).map(quadratic_field).flatmap(_elements_of),
+    st.lists(fractions, min_size=1, max_size=4)
+    .map(lambda low: NumberField(low + [1]))
+    .flatmap(_elements_of),
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +94,12 @@ class TestParseLambda:
         spec = parse_lambda(text)
         assert parse_lambda(format_lambda(spec)) == spec
         assert isinstance(spec, LambdaSpec)
+
+    @given(weight_elements)
+    def test_canonical_form_roundtrip_fuzz(self, e):
+        back = parse_element(canonical_str(e))
+        assert back == e
+        assert back.field.modulus == e.field.modulus
 
 
 class TestCliContract:
@@ -153,6 +185,34 @@ class TestCliContract:
         )
         assert code == 4
         assert "ZeroDivisor" in err
+
+    def test_zero_divisor_on_general_route_exit_4(self, capsys):
+        # pivots 4 and 6 have lambda**a == 1; on 9, lambda**9 - 1 = x - 1
+        code, _, err = run(
+            capsys, "sum", "--gens", "4,6,9", "--mu", "1", "--lambda=nf([-1,0,1];[0,1])"
+        )
+        assert code == 4
+        assert "ZeroDivisor" in err
+
+    @pytest.mark.parametrize("gens", ["3,11,17", "1,6"])
+    @pytest.mark.parametrize("mu", ["0", "1", "3"])
+    def test_unit_weight_result_stays_in_weight_field(self, capsys, gens, mu):
+        # weight 1 given in Q(zeta_8): every route answers in that field
+        code, out, _ = run(
+            capsys, "sum", "--gens", gens, "--mu", mu, "--lambda", "zeta(8)^8", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["label"] == "Q(zeta_8)"
+
+    def test_minus_one_result_stays_in_weight_field(self, capsys):
+        code, out, _ = run(
+            capsys, "sum", "--gens", "3,11,17", "--mu", "1", "--lambda", "zeta(4)^2",
+            "--force-formula", "alternating_cor1", "--format", "json",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["label"] == "Q(zeta_4)"
+        assert result["coeffs"] == ["-5", "0"]
 
     def test_precondition_exit_3(self, capsys):
         code, _, err = run(

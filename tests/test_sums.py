@@ -1,17 +1,27 @@
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sylsum import sums
-from sylsum.exactnum import NumberField, power_sums, quadratic_field, to_element, zeta
+from sylsum.combinatorics import bernoulli, eulerian
+from sylsum.exactnum import (
+    NumberField,
+    ZeroDivisor,
+    power_sums,
+    quadratic_field,
+    to_element,
+    zeta,
+)
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
     AperySet,
     NotCoprime,
+    apery_set,
     gap_set,
     sylvester_number,
     sylvester_sum,
@@ -158,6 +168,104 @@ class TestPowerSumKernel:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             power_sums(to_element(2), [0, -1], 1)
+
+
+def general_thm1_reference(A, mu, lam, pivot):
+    """Theorem 1 as field-element arithmetic, the loop that
+    ``exactnum.eulerian_sum`` replaced: every power, inverse and product of
+    L = lam**pivot is formed in the field."""
+    La = lam**pivot
+    S = power_sums(lam, apery_set(A, pivot).reps, mu)
+    d_inv = (La - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+
+    total = lam.field.zero
+    d_inv_pow = d_inv
+    La_pows = [lam.field.one]
+    for _ in range(mu):
+        La_pows.append(La_pows[-1] * La)
+    for n in range(mu + 1):
+        inner = lam.field.zero
+        for j in range(n + 1):
+            e = eulerian(n, n - j)
+            if e:
+                inner = inner + e * La_pows[j]
+        total = total + ((-pivot) ** n * comb(mu, n)) * d_inv_pow * inner * S[mu - n]
+        d_inv_pow = d_inv_pow * d_inv
+
+    tail = lam.field.zero
+    lam_pow = lam.field.one
+    for j in range(mu + 1):
+        e = eulerian(mu, mu - j)
+        if e:
+            tail = tail + e * lam_pow
+        lam_pow = lam_pow * lam
+    return total + (-1) ** (mu + 1) * lam1_inv ** (mu + 1) * tail
+
+
+def unweighted_thm5_reference(A, mu, pivot):
+    """Theorem 5 as the Fraction double loop that the integer evaluation
+    replaced: one Bernoulli number and one pass over the Apery set per
+    (kappa, j)."""
+    reps = apery_set(A, pivot).reps
+    a = pivot
+    total = Fraction(0)
+    for kappa in range(mu + 1):
+        for j in range(1, kappa + 2):
+            inner = sum((reps[i] - i) ** j * reps[i] ** (mu - kappa) for i in range(1, a))
+            total += (
+                comb(mu, kappa)
+                * comb(kappa + 1, j)
+                * Fraction((-1) ** (j - 1), kappa + 1)
+                * Fraction(a) ** (kappa - j)
+                * bernoulli(kappa - j + 1)
+                * inner
+            )
+    return total
+
+
+generator_sets = (
+    st.lists(st.integers(2, 16), min_size=2, max_size=4, unique=True)
+    .filter(lambda gens: gcd(*gens) == 1)
+    .map(validate_generators)
+)
+REDUCIBLE = NumberField([-1, 0, 1])  # x**2 - 1 = (x - 1)(x + 1)
+
+
+class TestTheorem1Evaluation:
+    @settings(deadline=None)
+    @given(A=generator_sets, lam=weights, mu=st.integers(0, 8))
+    # x**2 - 1 is reducible: on pivot 9, lambda**9 - 1 = x - 1 is a zero
+    # divisor, and both sides must raise ZeroDivisor with the same message
+    @example(A=validate_generators([4, 6, 9]), lam=REDUCIBLE.element([0, 1]), mu=1)
+    @example(
+        A=validate_generators([5, 7, 9]),
+        lam=NON_INTEGRAL.element([Fraction(-2, 3), Fraction(1, 5), Fraction(3, 4)]),
+        mu=8,
+    )
+    def test_matches_field_element_loop(self, A, lam, mu):
+        assume(not lam.is_zero())
+        pivots = [p for p in A if not (lam**p).is_one()]
+        assume(pivots)
+        for p in pivots:
+            try:
+                want = general_thm1_reference(A, mu, lam, p)
+            except ZeroDivisor as exc:
+                with pytest.raises(ZeroDivisor, match=re.escape(str(exc))):
+                    weighted_power_sum(A, mu, lam, pivot=p)
+                continue
+            got = weighted_power_sum(A, mu, lam, pivot=p).value
+            assert (got.field.modulus, got.coeffs) == (want.field.modulus, want.coeffs)
+
+
+class TestTheorem5Evaluation:
+    @settings(deadline=None)
+    @given(A=generator_sets, mu=st.integers(0, 40), data=st.data())
+    @example(A=validate_generators([2, 3]), mu=40, data=None)
+    def test_matches_fraction_loop(self, A, mu, data):
+        pivot = 2 if data is None else data.draw(st.sampled_from(sorted(A)))
+        got = unweighted_power_sum(A, mu, pivot=pivot).value
+        assert got == unweighted_thm5_reference(A, mu, pivot)
 
 
 class TestSpecializedFormulas:

@@ -17,8 +17,12 @@ Weights are written in a small exact grammar:
   q(5; 0, -1/5)        r0 + r1*sqrt(d)   (here -1/sqrt(5))
   nf([c0,..,cd]; [e0,..,e_{d-1}])   coefficients in Q[x]/(c0+..+cd x^d)
 
-Exit codes: 0 success, 2 invalid input, 3 formula precondition violated,
-4 zero divisor met in a user-supplied reducible coefficient ring.
+Exit codes: 0 success, 1 ``verify`` disagreement, 2 invalid input,
+3 formula precondition violated, 4 zero divisor met in a user-supplied
+reducible coefficient ring, 5 internal invariant failed (any other
+``ArithmeticError``: an unreachable Apery residue, a failed integrality
+check, a division by zero).  Codes 2-5 print a one-line JSON error record
+on stderr.
 """
 
 from __future__ import annotations
@@ -374,6 +378,9 @@ def run_command(argv: list[str]) -> int:
     except ZeroDivisor as exc:
         print(_error_record(exc), file=sys.stderr)
         return 4
+    except ArithmeticError as exc:
+        print(_error_record(exc), file=sys.stderr)
+        return 5
     except (
         ParseError,
         InvalidWeight,

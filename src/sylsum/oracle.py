@@ -4,6 +4,12 @@ This module deliberately knows nothing about the closed formulas: it
 enumerates the gap set and adds up lambda**n * n**mu term by term with
 exact arithmetic.  Tests and the CLI ``verify`` command compare the
 dispatcher's output against it.
+
+It is independent of the formulas, not of the Apery set: ``gap_set`` reads
+the gaps off ``apery_set``, so a wrong Apery set gives the oracle and the
+formulas the same wrong gaps and this check cannot catch it.  The Apery
+layer's own independent checks are ``semigroup.sieve_representable`` and
+the Dijkstra reference in the tests.
 """
 
 from __future__ import annotations

@@ -8,18 +8,21 @@ respect to a pivot generator a: for each residue i mod a, ``reps[i]`` is the
 least semigroup element congruent to i, and the gaps in that class are
 exactly reps[i] - a, reps[i] - 2a, ..., down to i's first positive value.
 
-Two independent algorithms are provided on purpose: Apery sets come from a
-shortest-path relaxation on the residue graph, while ``sieve_representable``
-is a plain dynamic-programming reachability table.  Tests play them against
-each other.
+Two independent algorithms are provided on purpose: Apery sets come from the
+round-robin algorithm of Boecker & Liptak, O(k * a) for k generators with no
+heap, while ``sieve_representable`` is a plain dynamic-programming
+reachability table.  Tests play them against each other, and against the
+heap Dijkstra (Nijenhuis 1979) that round-robin replaced, which the tests
+keep as a reference.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd
+from operator import mod
 from typing import Iterable, Iterator
 
 
@@ -88,35 +91,59 @@ class AperySet:
 
 
 def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
-    """Compute the Apery set by Dijkstra on the residue graph mod pivot.
+    """Compute the Apery set by the round-robin algorithm of Boecker & Liptak.
 
-    Vertices are residues 0..pivot-1; each generator a_j adds edges
-    i -> (i + a_j) mod pivot of weight a_j.  The shortest distance to
-    residue i from 0 is exactly the minimal semigroup element congruent
-    to i, because every semigroup element is a sum of edge weights.
+    ``n[i]`` is the least element congruent to i mod pivot that the
+    generators seen so far reach.  A generator b with b % pivot != 0 moves
+    residue p to (p + b) % pivot, so it splits the residues into
+    d = gcd(pivot, b) cycles of pivot/d residues.  The first such b fills
+    its own cycle through 0 directly, n[j*b % pivot] = j*b.  Each later b
+    walks every cycle once, starting at the cycle's least reached residue
+    (nothing in the cycle can improve it; being congruent to its residue,
+    the least value also gives its position) and setting
+    n[p] = min(m + b, n[p]) as it goes; a cycle nothing has reached yet is
+    skipped.  That is O(k * pivot) for k generators, with no heap, no queue
+    and no copy of a cycle.
+
+    A residue left at the sentinel ``pivot * max(gens)``, above every Apery
+    element, is unreachable, which the gcd 1 of validated generators rules
+    out.  (Boecker & Liptak, "A fast and simple algorithm for the money
+    changing problem", Algorithmica 48, 2007.)
     """
     if pivot is None:
         pivot = A.min
     if pivot not in A:
         raise ValueError(f"pivot {pivot} is not a generator of {A.gens}")
-    dist = [None] * pivot
-    dist[0] = 0
-    heap = [(0, 0)]
-    steps = [a for a in A if a % pivot != 0]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if dist[i] is not None and d > dist[i]:
-            continue
-        for a in steps:
-            j = (i + a) % pivot
-            nd = d + a
-            if dist[j] is None or nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    # gcd(gens) == 1 makes every residue reachable
-    if None in dist:
+    a = pivot
+    steps = [b for b in A if b % a != 0]
+    unreached = a * max(A)
+    n = [unreached] * a
+    n[0] = 0
+    if steps:
+        b = steps[0]
+        for m in range(b, a // gcd(a, b) * b, b):
+            n[m % a] = m
+    for b in steps[1:]:
+        d = gcd(a, b)
+        s = b % a
+        span = a // d * s
+        for r in range(d):
+            # no slice n[r::d]: it would be a second copy of the class, and
+            # one kept during the walk would hold every value it replaces
+            m = min(islice(n, r, None, d))
+            if m == unreached:
+                continue
+            q = m % a  # a reached value is congruent to its residue
+            for p in map(mod, range(q + s, q + span, s), repeat(a)):
+                m += b
+                v = n[p]
+                if v < m:
+                    m = v
+                else:
+                    n[p] = m
+    if unreached in n:
         raise ArithmeticError(f"some residue mod {pivot} is unreachable from {A.gens}")
-    return AperySet(pivot, tuple(dist))
+    return AperySet(pivot, tuple(n))
 
 
 @dataclass(frozen=True)

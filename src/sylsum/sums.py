@@ -39,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, lcm
+from operator import mul, sub
 from typing import Callable
 
 from .combinatorics import bernoulli, eulerian
@@ -160,7 +162,8 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> Fiel
     # B_b / (kappa+1), b = kappa+1-j, times den = a * lcm(Bernoulli
     # denominators) * lcm(1..mu+1) is an integer; each moment
     # sum_i (reps[i]-i)**j * reps[i]**(mu-kappa) is streamed over the Apery
-    # set (the i = 0 term is 0) and the integer total is divided once.
+    # set in C-level map passes, with no per-element list (the i = 0 term is
+    # 0), and the integer total is divided once.
     reps = apery_set(A, pivot).reps
     a = pivot
     B = [bernoulli(b) for b in range(mu + 2)]
@@ -174,7 +177,11 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> Fiel
         for j in range(1, kappa + 2):
             b = kappa + 1 - j
             if by_b[b]:
-                moment = sum((r - i) ** j * r**s for i, r in enumerate(reps))
+                lifts = map(pow, map(sub, reps, range(a)), repeat(j))
+                if s:
+                    moment = sum(map(mul, lifts, map(pow, reps, repeat(s))))
+                else:
+                    moment = sum(lifts)
                 term = by_kappa * comb(kappa + 1, j) * by_b[b] * moment
                 total += term if j % 2 else -term
     den = a * b_lcm * k_lcm

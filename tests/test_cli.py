@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sylsum import sums
 from sylsum.cli import (
     LambdaSpec,
     ParseError,
@@ -22,7 +23,7 @@ from sylsum.exactnum import (
     zeta,
 )
 from sylsum.oracle import brute_force_weighted_sum
-from sylsum.semigroup import validate_generators
+from sylsum.semigroup import AperySet, validate_generators
 from sylsum.sums import InvalidWeight
 
 
@@ -193,6 +194,15 @@ class TestCliContract:
         )
         assert code == 4
         assert "ZeroDivisor" in err
+
+    def test_internal_invariant_failure_exit_5(self, capsys, monkeypatch):
+        # 17 is not congruent to 1 mod 3, so the weight-1 sum fails its
+        # integrality check: an internal error, not a traceback
+        monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, 17, 8)))
+        code, out, err = run(capsys, "sum", "--gens", "3,8", "--mu", "0", "--lambda", "1")
+        assert code == 5
+        assert out == ""
+        assert json.loads(err)["error"] == "ArithmeticError"
 
     @pytest.mark.parametrize("gens", ["3,11,17", "1,6"])
     @pytest.mark.parametrize("mu", ["0", "1", "3"])

@@ -1,10 +1,15 @@
+import heapq
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sylsum.semigroup import (
     EmptyGenerators,
+    GeneratorSet,
     NonPositive,
     NotCoprime,
     apery_set,
@@ -15,6 +20,27 @@ from sylsum.semigroup import (
     sylvester_sum,
     validate_generators,
 )
+
+
+def apery_set_dijkstra_reference(A, pivot):
+    """The heap Dijkstra that round-robin replaced (Nijenhuis 1979): the
+    shortest distance from residue 0 to residue i, with an edge
+    i -> (i + b) % pivot of weight b per generator, is reps[i]."""
+    dist = [None] * pivot
+    dist[0] = 0
+    heap = [(0, 0)]
+    steps = [a for a in A if a % pivot != 0]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if dist[i] is not None and d > dist[i]:
+            continue
+        for a in steps:
+            j = (i + a) % pivot
+            nd = d + a
+            if dist[j] is None or nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+    return tuple(dist)
 
 
 def random_generator_sets(count, seed, k_max=4, bound=40):
@@ -84,6 +110,47 @@ class TestAperySet:
                     assert table[m]
                     for below in range(i, m, pivot):
                         assert not table[below]
+
+    @given(
+        st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True)
+        .filter(lambda gens: gcd(*gens) == 1)
+        .map(validate_generators)
+    )
+    @example(validate_generators([12, 18, 20, 27]))  # gcd(12, b) > 1 for every b
+    @example(validate_generators([6, 10, 15]))
+    @example(validate_generators([5, 13, 15, 40]))  # multiples of 5, 13 > 2*5
+    @example(validate_generators([1, 7]))  # pivot 1
+    def test_matches_dijkstra_and_sieve_for_every_pivot(self, A):
+        for pivot in A:
+            reps = apery_set(A, pivot).reps
+            assert reps == apery_set_dijkstra_reference(A, pivot)
+            table = sieve_representable(A, max(reps) + pivot)
+            for i, m in enumerate(reps):
+                assert table[m] and not any(table[i:m:pivot])
+
+    @pytest.mark.parametrize("pivot", [4, 6])
+    def test_unreachable_residue_raises(self, pivot):
+        # a hand-built set that skips validation: odd residues are unreachable
+        with pytest.raises(ArithmeticError, match="unreachable"):
+            apery_set(GeneratorSet((4, 6)), pivot)
+
+    def test_peak_memory_within_dijkstra_reference(self):
+        # A class slice n[r::d] kept alive during a walk holds 8 bytes per
+        # residue plus every value the walk replaces, about 0.8 MB more here;
+        # the 1 kB allowance covers the loop-local integers of either function.
+        A = validate_generators([20011, 24999, 31013, 37001])
+        peaks = []
+        tracemalloc.start()
+        try:
+            for build in (apery_set, apery_set_dijkstra_reference):
+                build(A, A.min)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                build(A, A.min)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 1024
 
     def test_pivot_changes_keep_statistics(self):
         A = validate_generators([5, 17, 19, 23])

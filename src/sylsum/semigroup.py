@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd
 from operator import mod
 from typing import Iterable, Iterator
@@ -128,9 +128,9 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
         s = b % a
         span = a // d * s
         for r in range(d):
-            # no slice n[r::d]: it would be a second copy of the class, and
-            # one kept during the walk would hold every value it replaces
-            m = min(islice(n, r, None, d))
+            # residue 0 holds 0.  The slice is dropped before the walk: kept
+            # during it, it would hold every value the walk replaces.
+            m = min(n[r::d]) if r else 0
             if m == unreached:
                 continue
             q = m % a  # a reached value is congruent to its residue

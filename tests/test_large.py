@@ -39,7 +39,12 @@ def seeded_instances(seed, count):
     return out
 
 
-@pytest.mark.parametrize("A", seeded_instances(seed=5, count=8), ids=str)
+# the last instance has 50,000 and 20,000 cycles of 2 and 5 residues
+@pytest.mark.parametrize(
+    "A",
+    seeded_instances(seed=5, count=8) + [validate_generators([100_000, 100_001, 140_000, 150_000])],
+    ids=str,
+)
 def test_round_robin_matches_dijkstra(A):
     for pivot in A:
         assert apery_set(A, pivot).reps == apery_set_dijkstra_reference(A, pivot)

@@ -102,8 +102,8 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     (nothing in the cycle can improve it; being congruent to its residue,
     the least value also gives its position) and setting
     n[p] = min(m + b, n[p]) as it goes; a cycle nothing has reached yet is
-    skipped.  That is O(k * pivot) for k generators, with no heap, no queue
-    and no copy of a cycle.
+    skipped.  That is O(k * pivot) for k generators, with no heap and no
+    queue.
 
     A residue left at the sentinel ``pivot * max(gens)``, above every Apery
     element, is unreachable, which the gcd 1 of validated generators rules

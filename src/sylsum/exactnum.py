@@ -119,8 +119,67 @@ def _pxgcd(p, q):
     return r0, u0, v0
 
 
+# CPython converts an int to or from decimal text only up to
+# sys.get_int_max_str_digits() digits (4300 by default, 640 at least).
+# Longer numbers are split by powers of ten into chunks of at most
+# _CHUNK_DIGITS digits, and only the chunks are converted.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """Decimal text of an int of any size."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    pows = [_CHUNK]  # pows[j] = 10**(_CHUNK_DIGITS * 2**j)
+    while pows[-1] <= n:
+        pows.append(pows[-1] * pows[-1])
+
+    def digits(n: int, j: int, pad: bool) -> str:
+        # n < pows[j]; pad zero-fills to _CHUNK_DIGITS * 2**j digits
+        if j == 0:
+            return str(n).zfill(_CHUNK_DIGITS) if pad else str(n)
+        hi, lo = divmod(n, pows[j - 1])
+        if hi or pad:
+            return digits(hi, j - 1, pad) + digits(lo, j - 1, True)
+        return digits(lo, j - 1, False)
+
+    return digits(n, len(pows) - 1, False)
+
+
+def _int_from_str(text: str) -> int:
+    """Inverse of :func:`_int_str`; beyond one chunk only an optional sign
+    and decimal digits are accepted."""
+    text = text.strip()
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    sign, body = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    if not body.isdigit():
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+
+    def value(s: str) -> int:
+        if len(s) <= _CHUNK_DIGITS:
+            return int(s)
+        h = len(s) // 2
+        return value(s[:-h]) * 10**h + value(s[-h:])
+
+    n = value(body)
+    return -n if sign == "-" else n
+
+
 def _fraction_str(q: Fraction) -> str:
-    return str(q)  # "p/q" or "p"
+    """"p/q" or "p", at any size."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _fraction_from_str(text: str) -> Fraction:
+    """Inverse of :func:`_fraction_str`."""
+    num, slash, den = text.partition("/")
+    return Fraction(_int_from_str(num), _int_from_str(den) if slash else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +754,7 @@ def pretty_str(e: FieldElement) -> str:
     if denom == 1:
         return _poly_str(e.coeffs, symbol, ascending=True)
     scaled = [c * denom for c in e.coeffs]
-    return f"({_poly_str(scaled, symbol, ascending=True)})/{denom}"
+    return f"({_poly_str(scaled, symbol, ascending=True)})/{_int_str(denom)}"
 
 
 def element_to_obj(e: FieldElement) -> dict:
@@ -709,9 +768,9 @@ def element_to_obj(e: FieldElement) -> dict:
 
 def element_from_obj(obj: dict) -> FieldElement:
     """Inverse of :func:`element_to_obj` (field tag is not restored)."""
-    modulus = tuple(Fraction(c) for c in obj["modulus"])
+    modulus = tuple(_fraction_from_str(c) for c in obj["modulus"])
     if modulus == QQ.modulus:
         field = QQ
     else:
         field = NumberField(modulus, label=obj.get("label"))
-    return field.element([Fraction(c) for c in obj["coeffs"]])
+    return field.element([_fraction_from_str(c) for c in obj["coeffs"]])

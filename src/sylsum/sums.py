@@ -23,9 +23,10 @@ weighted formulas consume come from an exact integer Horner pass over the
 sorted Apery set (all t at once).  The general formula is evaluated whole
 by ``exactnum.eulerian_sum`` in the same integer basis, with one division
 at the end; this module hands it the Apery set and the Eulerian rows and
-never sees the integer vectors.  The Bernoulli form sums integer moments
-over one common denominator.  Every route returns its value in the
-weight's field, also when the value is rational.
+never sees the integer vectors.  The Bernoulli form needs only the plain
+Apery power sums P_k = sum_i reps[i]**k for k <= mu+1, combined in
+integers over one common denominator.  Every route returns its value in
+the weight's field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once (fixed mu, generator count,
 fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
@@ -41,7 +42,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm
-from operator import mul, sub
 from typing import Callable
 
 from .combinatorics import bernoulli, eulerian
@@ -158,36 +158,25 @@ def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldEl
 
 
 def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    # Each coefficient C(mu,kappa) C(kappa+1,j) (-1)**(j-1) a**(kappa-j)
-    # B_b / (kappa+1), b = kappa+1-j, times den = a * lcm(Bernoulli
-    # denominators) * lcm(1..mu+1) is an integer; each moment
-    # sum_i (reps[i]-i)**j * reps[i]**(mu-kappa) is streamed over the Apery
-    # set in C-level map passes, with no per-element list (the i = 0 term is
-    # 0), and the integer total is divided once.
+    # The identity in unweighted_power_sum's docstring, times the lcm of the
+    # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
+    # total; each other P_k is one C-level map pass over the Apery set, with
+    # no per-element list, and the integer total is divided once.
     reps = apery_set(A, pivot).reps
-    a = pivot
-    B = [bernoulli(b) for b in range(mu + 2)]
+    a, m = pivot, mu + 1
+    B = [bernoulli(b) for b in range(m + 1)]
     b_lcm = lcm(*(x.denominator for x in B))
-    k_lcm = lcm(*range(1, mu + 2))
-    by_b = [a**b * x.numerator * (b_lcm // x.denominator) for b, x in enumerate(B)]
-    total = 0
-    for kappa in range(mu + 1):
-        s = mu - kappa
-        by_kappa = comb(mu, kappa) * (k_lcm // (kappa + 1))
-        for j in range(1, kappa + 2):
-            b = kappa + 1 - j
-            if by_b[b]:
-                lifts = map(pow, map(sub, reps, range(a)), repeat(j))
-                if s:
-                    moment = sum(map(mul, lifts, map(pow, reps, repeat(s))))
-                else:
-                    moment = sum(lifts)
-                term = by_kappa * comb(kappa + 1, j) * by_b[b] * moment
-                total += term if j % 2 else -term
-    den = a * b_lcm * k_lcm
-    value, rem = divmod(total, den)
+    by_b = [x.numerator * (b_lcm // x.denominator) for x in B]
+    total = by_b[m] * a * (a**m - 1)
+    for k in range(1, m + 1):
+        if by_b[m - k]:
+            p_k = sum(map(pow, reps, repeat(k))) if k > 1 else sum(reps)
+            total += comb(m, k) * a ** (m - k) * by_b[m - k] * p_k
+    value, rem = divmod(total, a * m * b_lcm)
     if rem:
-        raise ArithmeticError(f"unweighted power sum {Fraction(total, den)} is not an integer")
+        raise ArithmeticError(
+            f"unweighted power sum is not an integer: a remainder of {rem.bit_length()} bits"
+        )
     return lam.field.from_rational(value)
 
 
@@ -403,9 +392,15 @@ def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None)
 def unweighted_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> SumResult:
     """Pure power sum over the gaps (weight 1), via Bernoulli numbers.
 
-    sum_{kappa=0}^{mu} sum_{j=1}^{kappa+1} C(mu,kappa) C(kappa+1,j)
-        (-1)^{j-1}/(kappa+1) * a^{kappa-j} B_{kappa-j+1}
-        * sum_{i=1}^{a-1} (reps[i]-i)^j reps[i]^{mu-kappa}
+    With m = mu+1 and P_k = sum_{i=0}^{a-1} reps[i]^k (so P_0 = a):
+
+    a m * sum_{gaps n} n^mu = sum_{k=0}^{m} C(m,k) a^{m-k} B_{m-k} P_k - a B_m
+
+    Faulhaber's formula in Bernoulli polynomials sums the gaps
+    i, i+a, ..., reps[i]-a of each residue class, and Raabe's
+    multiplication theorem sum_{i<a} B_m(i/a) = a^{1-m} B_m sums the class
+    starts.  The paper's (kappa, j) double sum of Theorem 5 gives the same
+    value and is this function's test reference.
     """
     return evaluate(Formula.UNWEIGHTED, A, mu, 1, pivot)
 

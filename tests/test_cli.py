@@ -20,11 +20,12 @@ from sylsum.exactnum import (
     cyclotomic_field,
     element_from_obj,
     quadratic_field,
+    to_element,
     zeta,
 )
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import AperySet, validate_generators
-from sylsum.sums import InvalidWeight
+from sylsum.sums import InvalidWeight, SumRequest, dispatch_sum
 
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -273,6 +274,16 @@ class TestJsonOutput:
         assert verify_env["result"]["agrees"] is True
         assert verify_env["result"]["formula_value"]["coeffs"] == sum_env["result"]["coeffs"]
         assert element_from_obj(verify_env["result"]["oracle_value"]) == 195527810
+
+    def test_result_beyond_int_str_digit_limit(self, capsys):
+        # the numerator has 69,666 digits, past CPython's default limit of
+        # 4,300 for int <-> str conversion; no process-wide setting changes
+        args = ("--gens", "1000,1001,1007,2003", "--mu", "1", "--lambda=-3/2")
+        code, out, err = run(capsys, "sum", *args, "--format", "json")
+        assert code == 0, err
+        value = element_from_obj(json.loads(out)["result"])
+        A = validate_generators([1000, 1001, 1007, 2003])
+        assert value == dispatch_sum(SumRequest(A, 1, to_element(Fraction(-3, 2)))).value
 
     def test_gaps_json(self, capsys):
         _, out, _ = run(capsys, "gaps", "--gens", "6,9,10", "--format", "json")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,8 @@ from sylsum.exactnum import (
     cyclotomic_field,
     element_from_obj,
     element_to_obj,
+    _int_from_str,
+    _int_str,
     pretty_str,
     quadratic_field,
     sqrt_of,
@@ -249,6 +252,42 @@ class TestSerialization:
         obj = element_to_obj(quadratic_field(5).element([0, Fraction(-1, 5)]))
         assert obj["coeffs"] == ["0", "-1/5"]
         assert obj["modulus"] == ["-5", "0", "1"]
+
+    @pytest.mark.parametrize("length", [1, 599, 600, 601, 1200, 1201, 4300, 4301, 9999, 20000])
+    def test_decimal_text_at_any_size(self, length):
+        # past 4,300 digits str() and int() refuse by default; the reference
+        # value is assembled from 100-digit slices instead
+        rng = random.Random(length)
+        for text in (
+            "9" * length,
+            "1" + "0" * (length - 1),
+            str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=length - 1)),
+        ):
+            n = 0
+            for start in range(0, length, 100):
+                piece = text[start:start + 100]
+                n = n * 10 ** len(piece) + int(piece)
+            assert _int_str(n) == text
+            assert _int_str(-n) == "-" + text
+            assert _int_from_str(text) == n
+            assert _int_from_str("-" + text) == -n
+            assert _int_from_str("+" + text) == n
+
+    @pytest.mark.parametrize("text", ["1" * 700 + "x", "1" * 700 + "-1", "--" + "1" * 700, "1_" * 400])
+    def test_long_decimal_text_rejects_non_digits(self, text):
+        with pytest.raises(ValueError):
+            _int_from_str(text)
+
+    def test_obj_roundtrip_beyond_digit_limit(self):
+        field = NumberField([-(10**5000 + 3), 0, 1])
+        e = field.element([Fraction(10**5000 + 1, 3**10000), -(7**9000)])
+        obj = element_to_obj(e)
+        assert min(len(obj["modulus"][0]), *map(len, obj["coeffs"][1:])) > 4300
+        back = element_from_obj(obj)
+        assert back == e
+        assert back.field.modulus == field.modulus
+        assert pretty_str(e).endswith(f"/{_int_str(3**10000)}")
+        assert canonical_str(e).startswith("nf([-1000")
 
     def test_canonical_forms(self):
         assert canonical_str(to_element(Fraction(-3, 2))) == "-3/2"

@@ -15,12 +15,14 @@ import pytest
 from sylsum.semigroup import (
     apery_set,
     frobenius_number,
+    gap_set,
     sylvester_number,
     sylvester_sum,
     validate_generators,
 )
 from sylsum.sums import unweighted_power_sum, weighted_power_sum
 from test_semigroup import apery_set_dijkstra_reference
+from test_sums import unweighted_thm5_reference
 
 pytestmark = pytest.mark.large
 
@@ -65,6 +67,19 @@ def _statistics(A, pivot):
 def test_pivot_independence(gens):
     A = validate_generators(gens)
     assert len({_statistics(A, pivot) for pivot in A}) == 1
+
+
+@pytest.mark.parametrize("mu", [12, 40])
+def test_unweighted_high_mu_pivot_independence(mu):
+    # genus 73,213: the direct sum over the gap list is still in reach here
+    A = validate_generators([1000, 1001, 1007, 2003])
+    values = {unweighted_power_sum(A, mu, pivot).value for pivot in A}
+    assert values == {sum(n**mu for n in gap_set(A))}
+
+
+def test_unweighted_matches_paper_double_sum():
+    A = validate_generators([1000, 1001, 1007, 2003])
+    assert unweighted_power_sum(A, 8, 1007).value == unweighted_thm5_reference(A, 8, 1007)
 
 
 def test_weighted_pivot_independence():

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+from sylsum import oracle
 from sylsum.exactnum import to_element, zeta
 from sylsum.oracle import brute_force_weighted_sum, cross_validate
-from sylsum.semigroup import validate_generators
+from sylsum.semigroup import gap_set, validate_generators
 from sylsum.sums import Formula, SumRequest
 
 
@@ -45,3 +46,16 @@ class TestCrossValidate:
         assert report.agrees
         assert report.formula_value == Fraction(1, 2)
         assert report.gap_count == 1
+
+    def test_gap_set_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting_gap_set(A):
+            calls.append(A)
+            return gap_set(A)
+
+        monkeypatch.setattr(oracle, "gap_set", counting_gap_set)
+        report = cross_validate(SumRequest(validate_generators([6, 9, 10]), 1, to_element(2)))
+        assert report.agrees
+        assert report.gap_count == 12
+        assert len(calls) == 1

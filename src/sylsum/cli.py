@@ -40,6 +40,7 @@ from .exactnum import (
     NumberField,
     ZeroDivisor,
     QQ,
+    _fraction_from_str,
     canonical_str,
     cyclotomic_field,
     element_to_obj,
@@ -86,7 +87,11 @@ _RE_NF = re.compile(r"\s*nf\(\s*\[([^]]*)\]\s*;\s*\[([^]]*)\]\s*\)\s*$")
 
 
 def _fraction(text: str, s: str) -> Fraction:
+    # "p" and "p/q" are read at any size; other forms Fraction accepts
+    # (such as "1.5" in an nf list) stay within the int-to-str digit limit
     try:
+        if _RE_RATIONAL.match(text):
+            return _fraction_from_str(text.replace(" ", ""))
         return Fraction(text.replace(" ", ""))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {text!r}", s.find(text)) from None

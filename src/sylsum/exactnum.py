@@ -1,20 +1,19 @@
 """Exact scalar arithmetic in Q and in quotient rings Q[x]/(f).
 
 Every weight and every computed sum in this package is an element of some
-number field, represented as a polynomial residue with ``fractions.Fraction``
-coefficients.  The rational field itself is the degree-1 quotient Q[x]/(x),
-so a single element type covers rational weights, roots of unity and
-quadratic irrationals alike.
+number field Q[x]/(f).  The rational field itself is the degree-1 quotient
+Q[x]/(x), so a single element type covers rational weights, roots of unity
+and quadratic irrationals alike.
 
-The hot paths of the package do not go through FieldElement arithmetic.
-``_IntegralBasis`` writes a field in a basis y = c*x that makes the
-modulus integral, so lam is an integer polynomial P(y) over a common
-denominator d.  On it, ``power_sums`` evaluates the weighted power sums
-sum_m m**t * lam**m over an Apery set for every t in one integer Horner
-pass, and ``eulerian_sum`` evaluates the whole general formula (Theorem 1)
-on those same integers with one division at the end; only its two
-inverses are FieldElement operations.  The same code serves Q,
-cyclotomic, quadratic and arbitrary ``Q[x]/(f)`` fields.
+An element is an integer vector P(y) over one denominator d > 0, in the
+basis y = c*x of its ``NumberField`` that makes the modulus monic and
+integral, so products of integer vectors stay integral.  Addition is integer
+cross-multiplication, multiplication an integer matrix product, inversion a
+fraction-free Gauss-Jordan solve; ``Fraction`` appears only where elements
+are built from, or read back as, rational coefficients in x.  On the same
+integers ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for
+every t in one Horner pass, and ``eulerian_sum`` the whole general formula
+(Theorem 1) with one division at the end.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -63,30 +62,6 @@ def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(p[:n])
 
 
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(p):
-    return tuple(-c for c in p)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
 def _pdivmod(p, q):
     """Polynomial division over Q; q must be nonzero."""
     if not q:
@@ -106,17 +81,55 @@ def _pdivmod(p, q):
     return _trim(quot), _trim(rem)
 
 
-def _pxgcd(p, q):
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*p + v*q = g."""
-    r0, r1 = _trim(p), _trim(q)
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        quo, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _padd(u0, _pneg(_pmul(quo, u1)))
-        v0, v1 = v1, _padd(v0, _pneg(_pmul(quo, v1)))
-    return r0, u0, v0
+def _denominator_lcm(coeffs: Iterable[Fraction]) -> int:
+    d = 1
+    for c in coeffs:
+        d = lcm(d, c.denominator)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# integer vectors modulo a monic integral g, constant term first
+
+
+def _imatrix(q: Sequence[int], g: Sequence[int]) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix of multiplication by q modulo the monic g.
+
+    Column j holds y**j * q mod g; reducing y * col by y**n == y**n - g(y)
+    keeps every entry an integer.
+    """
+    n = len(g) - 1
+    cols = [q]
+    for _ in range(n - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([-top * g[0]] + [prev[k - 1] - top * g[k] for k in range(1, n)])
+    return [tuple(col[i] for col in cols) for i in range(n)]
+
+
+def _imul(p: Sequence[int], q: Sequence[int], g: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, q)) for row in _imatrix(p, g)]
+
+
+def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
+    """p**e mod g by squaring."""
+    result = [1] + [0] * (len(g) - 2)
+    while e:
+        rows = _imatrix(p, g)
+        if e & 1:
+            result = [sum(map(mul, row, result)) for row in rows]
+        e >>= 1
+        if e:
+            p = [sum(map(mul, row, p)) for row in rows]
+    return result
+
+
+def _ipowers(p: Sequence[int], k: int, g: Sequence[int]) -> list[list[int]]:
+    """[p**0, p**1, ..., p**k] mod g."""
+    out = [[1] + [0] * (len(g) - 2)]
+    for _ in range(k):
+        out.append(_imul(out[-1], p, g))
+    return out
 
 
 # CPython converts an int to or from decimal text only up to
@@ -188,13 +201,19 @@ def _fraction_from_str(text: str) -> Fraction:
 class NumberField:
     """The quotient ring Q[x]/(f) for a monic polynomial f of degree >= 1.
 
+    ``modulus`` is f with Fraction coefficients.  The field also fixes the
+    integral basis its elements are stored in: y = c*x, c the lcm of the
+    denominators of f, so that ``g`` = c**n f(y/c) is monic with integer
+    coefficients, and ``c_pows`` = (c**0, ..., c**(n-1)) turns the
+    coefficient of y**k back into that of x**k.
+
     ``tag`` records how the field was built (``("cyclotomic", n)`` or
     ``("quadratic", d)``) and is cosmetic: equality and hashing use the
     modulus alone, so e.g. the fourth cyclotomic field and Q(sqrt(-1))
     are the same field.
     """
 
-    __slots__ = ("modulus", "label", "tag")
+    __slots__ = ("modulus", "label", "tag", "g", "c_pows")
 
     def __init__(self, modulus: Iterable, label: str | None = None, tag=None):
         coeffs = tuple(Fraction(c) for c in modulus)
@@ -205,13 +224,17 @@ class NumberField:
         self.modulus = coeffs
         self.label = label if label is not None else f"Q[x]/({_poly_str(coeffs)})"
         self.tag = tag
+        n = len(coeffs) - 1
+        c = _denominator_lcm(coeffs)
+        self.g = tuple(int(f * c ** (n - k)) for k, f in enumerate(coeffs))
+        self.c_pows = tuple(c**k for k in range(n))
 
     @property
     def degree(self) -> int:
         return len(self.modulus) - 1
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        """Build an element from polynomial coefficients (constant first).
+        """Build an element from polynomial coefficients in x (constant first).
 
         Longer coefficient lists are reduced modulo the field modulus,
         shorter ones are zero padded.
@@ -219,11 +242,14 @@ class NumberField:
         poly = _trim([Fraction(c) for c in coeffs])
         if len(poly) > self.degree:
             _, poly = _pdivmod(poly, self.modulus)
-        padded = list(poly) + [Fraction(0)] * (self.degree - len(poly))
-        return FieldElement(self, tuple(padded))
+        in_y = [a / ck for a, ck in zip(poly, self.c_pows)]
+        den = _denominator_lcm(in_y)
+        num = [a.numerator * (den // a.denominator) for a in in_y]
+        return FieldElement(self, num + [0] * (self.degree - len(num)), den)
 
     def from_rational(self, value) -> "FieldElement":
-        return self.element([Fraction(value)])
+        q = Fraction(value)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     @property
     def zero(self) -> "FieldElement":
@@ -253,6 +279,13 @@ class NumberField:
 class FieldElement:
     """An element of a :class:`NumberField`, immutable after construction.
 
+    The value is ``num(y) / den``: ``num`` is a tuple of ``field.degree``
+    ints, the coefficients of y**0, y**1, ... in the field's integral basis
+    y = c*x, and ``den`` is an int > 0.  The constructor brings every
+    element to lowest terms, gcd(den, *num) == 1, so two elements of one
+    field are equal exactly when their ``num`` and ``den`` are.  ``coeffs``
+    reads the value back as Fraction coefficients in x, constant term first.
+
     Supports +, -, *, /, ** and exact equality.  Integers and Fractions
     coerce to constants of the same field, so formula code can mix scalars
     freely.  Equality against elements of a *different* field is defined
@@ -260,29 +293,44 @@ class FieldElement:
     ``FieldMismatch`` rather than guessing.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den", "_coeffs")
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != field.degree:
+    def __init__(self, field: NumberField, num: Sequence[int], den: int):
+        if len(num) != field.degree:
             raise InvalidField("coefficient count must equal the field degree")
+        if den == 0:
+            raise ZeroDivisionError("element denominator is zero")
+        t = gcd(den, *num)
+        if den < 0:
+            t = -t
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(num) if t == 1 else tuple(a // t for a in num)
+        self.den = den // t
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of x**0, x**1, ... as Fractions."""
+        if self._coeffs is None:
+            pairs = zip(self.num, self.field.c_pows)
+            self._coeffs = tuple(Fraction(a * ck, self.den) for a, ck in pairs)
+        return self._coeffs
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.num[0] == self.den == 1 and self.is_rational()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational valued")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
         return not self.is_zero()
@@ -291,9 +339,9 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 if other.is_rational():
-                    return self.field.from_rational(other.coeffs[0])
+                    return self.field.from_rational(other.as_rational())
                 raise FieldMismatch(
                     f"cannot combine elements of {self.field.label} and {other.field.label}"
                 )
@@ -306,18 +354,20 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return FieldElement(self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.coeffs))
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return FieldElement(self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -328,25 +378,44 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return FieldElement(self.field, tuple(c * q for c in self.coeffs))
+            return FieldElement(
+                self.field, [a * q.numerator for a in self.num], self.den * q.denominator
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _pmul(_trim(self.coeffs), _trim(o.coeffs))
-        return self.field.element(prod)
+        return FieldElement(self.field, _imul(self.num, o.num, self.field.g), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse, den * w / D where M w = D * e0.
+
+        M is the integer matrix of multiplication by ``num``, and
+        fraction-free Gauss-Jordan elimination (Bareiss) turns [M | e0]
+        into [D*I | D*w], D = +-det M, with every division exact.  M is
+        singular exactly when ``num`` divides zero modulo g.
+        """
         if self.is_zero():
             raise DivideByZero(f"zero has no inverse in {self.field.label}")
-        g, u, _ = _pxgcd(_trim(self.coeffs), self.field.modulus)
-        if len(g) != 1:
-            raise ZeroDivisor(
-                f"{self!r} is a zero divisor modulo {_poly_str(self.field.modulus)}"
-            )
-        return self.field.element(_pmul(u, (1 / g[0],)))
+        n = self.field.degree
+        rows = [[*row, int(i == 0)] for i, row in enumerate(_imatrix(self.num, self.field.g))]
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if rows[i][k]), None)
+            if p is None:
+                raise ZeroDivisor(
+                    f"{self!r} is a zero divisor modulo {_poly_str(self.field.modulus)}"
+                )
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            pk = pivot[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+            prev = pk
+        return FieldElement(self.field, [self.den * row[n] for row in rows], prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -379,15 +448,16 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         if isinstance(other, FieldElement):
             if other.field == self.field:
-                return self.coeffs == other.coeffs
+                return self.num == other.num and self.den == other.den
             if self.is_rational() or other.is_rational():
                 return (
                     self.is_rational()
                     and other.is_rational()
-                    and self.coeffs[0] == other.coeffs[0]
+                    and self.num[0] == other.num[0]
+                    and self.den == other.den
                 )
             raise FieldMismatch(
                 f"cannot compare elements of {self.field.label} and {other.field.label}"
@@ -396,8 +466,8 @@ class FieldElement:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field.modulus, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.modulus, self.num, self.den))
 
     def __repr__(self):
         return f"<{pretty_str(self)} in {self.field.label}>"
@@ -407,114 +477,50 @@ class FieldElement:
 # weighted power sums: one exact integer pass
 
 
-def _denominator_lcm(coeffs: Iterable[Fraction]) -> int:
-    d = 1
-    for c in coeffs:
-        d = lcm(d, c.denominator)
-    return d
+def _over(e: FieldElement, scale: int) -> tuple[list[int], int]:
+    """e / scale as (P, d): the integer vector P(y) over the least d."""
+    t = gcd(scale, *e.num)
+    return [a // t for a in e.num], e.den * (scale // t)
 
 
-def _imatrix(q: list[int], g: list[int]) -> list[tuple[int, ...]]:
-    """Rows of the integer matrix of multiplication by q modulo the monic g.
+def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
+    """(H, D) with H[t] = D * sum_m m**t * lam**m for t = 0..mu.
 
-    Column j holds y**j * q mod g; reducing y * col by y**n == y**n - g(y)
-    keeps every entry an integer.
+    ``exps`` is nonempty and sorted downwards.  With lam = P/d, each step
+    lam**gap is the integer vector P**gap over d**gap, both divided by
+    their gcd and computed once per distinct gap; D is the product of the
+    step denominators.  Walking the exponents from the largest,
+    H_t <- P**gap * H_t (mod g) + m**t * D, which ends at H[t] after the
+    smallest exponent's own step.
     """
-    n = len(g) - 1
-    cols = [q]
-    for _ in range(n - 1):
-        prev = cols[-1]
-        top = prev[-1]
-        cols.append([-top * g[0]] + [prev[k - 1] - top * g[k] for k in range(1, n)])
-    return [tuple(col[i] for col in cols) for i in range(n)]
+    g, P, d = lam.field.g, lam.num, lam.den
+    steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
 
+    def step(gap: int):
+        if gap not in steps:
+            Q, e = _ipower(P, gap, g), d**gap
+            t = gcd(e, *Q)
+            steps[gap] = (_imatrix([q // t for q in Q], g), e // t)
+        return steps[gap]
 
-class _IntegralBasis:
-    """A field Q[x]/(f) written as Q[y]/(g) with y = c*x, g monic integral.
-
-    c is the lcm of the denominators of f and g(y) = c**n f(y/c), so the
-    product of two integer polynomials stays integral modulo g.  Every
-    element is an integer vector over one common denominator.
-    """
-
-    __slots__ = ("field", "g", "c_pows")
-
-    def __init__(self, field: NumberField):
-        n = field.degree
-        c = _denominator_lcm(field.modulus)
-        self.field = field
-        self.g = [int(f * c ** (n - k)) for k, f in enumerate(field.modulus)]
-        self.c_pows = [c**k for k in range(n)]
-
-    def split(self, e: FieldElement, scale: int = 1) -> tuple[list[int], int]:
-        """e / scale as (P, d): the integer vector P(y) over the least d."""
-        coeffs = [a / (scale * ck) for a, ck in zip(e.coeffs, self.c_pows)]
-        d = _denominator_lcm(coeffs)
-        return [int(a * d) for a in coeffs], d
-
-    def element(self, v: list[int], denominator: int) -> FieldElement:
-        """The field element v(y) / denominator, back in the basis of x."""
-        return FieldElement(
-            self.field, tuple(Fraction(a * ck, denominator) for a, ck in zip(v, self.c_pows))
-        )
-
-    def one(self) -> list[int]:
-        return [1] + [0] * (len(self.g) - 2)
-
-    def mul(self, p: list[int], q: list[int]) -> list[int]:
-        return [sum(map(mul, row, q)) for row in _imatrix(p, self.g)]
-
-    def power(self, p: list[int], e: int) -> list[int]:
-        """p**e mod g by squaring."""
-        result = self.one()
-        while e:
-            rows = _imatrix(p, self.g)
-            if e & 1:
-                result = [sum(map(mul, row, result)) for row in rows]
-            e >>= 1
-            if e:
-                p = [sum(map(mul, row, p)) for row in rows]
-        return result
-
-    def powers(self, p: list[int], k: int) -> list[list[int]]:
-        """[p**0, p**1, ..., p**k] mod g."""
-        out = [self.one()]
-        for _ in range(k):
-            out.append(self.mul(out[-1], p))
-        return out
-
-    def apery_horner(self, P: list[int], d: int, exps: list[int], mu: int) -> list[list[int]]:
-        """H[t] = d**M * sum_m m**t * (P/d)**m for t = 0..mu, M = exps[0].
-
-        ``exps`` is nonempty and sorted downwards.  Walking it from M,
-        H_t <- P**gap * H_t (mod g) + m**t * d**(M-m), which ends at H[t]
-        after the smallest exponent's own power of P.  ``P**gap`` and
-        ``d**gap`` are computed once per distinct gap.
-        """
-        steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
-
-        def step(gap: int):
-            if gap not in steps:
-                steps[gap] = (_imatrix(self.power(P, gap), self.g), d**gap)
-            return steps[gap]
-
-        H = [[0] * len(P) for _ in range(mu + 1)]
-        d_pow = 1  # d**(M - m)
-        prev = exps[0]
-        for m in exps:
-            if m != prev:
-                rows, d_gap = step(prev - m)
-                d_pow *= d_gap
-                H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-                prev = m
-            term = d_pow
-            for h in H:
-                h[0] += term
-                term *= m
-        if prev:
-            rows, _ = step(prev)
+    H = [[0] * len(P) for _ in range(mu + 1)]
+    scale = 1  # product of the step denominators so far
+    prev = exps[0]
+    for m in exps:
+        if m != prev:
+            rows, e = step(prev - m)
+            scale *= e
             H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-        return H
+            prev = m
+        term = scale
+        for h in H:
+            h[0] += term
+            term *= m
+    if prev:
+        rows, e = step(prev)
+        scale *= e
+        H = [[sum(map(mul, row, h)) for row in rows] for h in H]
+    return H, scale
 
 
 def _sorted_exponents(exponents: Iterable[int], mu: int) -> list[int]:
@@ -530,26 +536,17 @@ def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[Fie
     """S[t] = sum of m**t * lam**m over the exponents m, for t = 0..mu.
 
     0**0 == 1, so an exponent 0 adds lam**0 == 1 to S[0] and nothing to the
-    other S[t].  All of S[0..mu] come from one Horner pass in integers:
-
-      * the modulus f is made integral by x = y/c, c the lcm of its
-        denominators: g(y) = c**n f(y/c) is monic with integer
-        coefficients, and Q[x]/(f) is isomorphic to Q[y]/(g);
-      * lam, written in y, is P(y)/d with integer P and d the lcm of its
-        coefficient denominators;
-      * walking the exponents downwards from the largest, M,
-        H_t <- P**gap * H_t (mod g) + m**t * d**(M-m), which ends at
-        d**M * S[t] after the smallest exponent's own power of P;
-      * one division by d**M and the map y**k -> c**k x**k return to the
-        field's basis.
+    other S[t].  All of S[0..mu] come from one Horner pass on lam's integer
+    vector P(y) over d (see :class:`FieldElement`): walking the exponents
+    downwards, H_t <- P**gap * H_t (mod g) + m**t * D, with each step
+    P**gap / d**gap in lowest terms and D the product of the step
+    denominators, ends at D * S[t]; one division by D gives S[t].
     """
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         return [lam.field.zero] * (mu + 1)
-    basis = _IntegralBasis(lam.field)
-    P, d = basis.split(lam)
-    scale = d ** exps[0]
-    return [basis.element(h, scale) for h in basis.apery_horner(P, d, exps, mu)]
+    H, scale = _apery_horner(lam, exps, mu)
+    return [FieldElement(lam.field, h, scale) for h in H]
 
 
 def eulerian_sum(
@@ -564,18 +561,19 @@ def eulerian_sum(
       sum_{n=0}^{mu} C(mu,n) (-a)**n A_n(L) S[mu-n] / (L-1)**(n+1)
         + (-1)**(mu+1) A_mu(lam) / (lam-1)**(mu+1),
 
-    where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated in the
-    integral basis of ``power_sums`` (lam = P(y)/d, H_t = d**M * S[t]) with
-    integer vectors and one division at the end:
+    where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
+    integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the Horner
+    pass of ``power_sums``) with one division at the end:
 
-      * L = U/V with U = P**a mod g and V = d**a, and A_n(L) = N_n / V**n
-        with N_n = sum_j E_nj U**j V**(n-j) (homogeneous in U and V);
+      * L = U/V in lowest terms, from P**a mod g over d**a, and
+        A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
+        (homogeneous in U and V);
       * 1/(L-1) = V*W/N and 1/(lam-1) = d*W1/N1, where W/N = 1/(U-V) and
         W1/N1 = 1/(P-d), each over its least integer denominator, come from
         ``FieldElement.inverse`` of L - 1 and lam - 1 (so a zero divisor of
         a reducible modulus raises ``ZeroDivisor`` with the same message);
       * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
-        over N**(mu+1) d**M, by Horner in W; the tail is
+        over N**(mu+1) D, by Horner in W; the tail is
         (-1)**(mu+1) d W1**(mu+1) T / N1**(mu+1), T = sum_j E_mu,j P**j d**(mu-j).
 
     The exponent list must be nonempty (an Apery set holds 0), and lam**a
@@ -584,29 +582,30 @@ def eulerian_sum(
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         raise ValueError("exponents must be nonempty")
-    basis = _IntegralBasis(lam.field)
-    P, d = basis.split(lam)
-    U, V = basis.power(P, a), d**a
-    W, N = basis.split((basis.element(U, V) - 1).inverse(), V)
-    W1, N1 = basis.split((lam - 1).inverse(), d)
-    H = basis.apery_horner(P, d, exps, mu)
+    field = lam.field
+    g, P, d = field.g, lam.num, lam.den
+    L = FieldElement(field, _ipower(P, a, g), d**a)
+    U, V = L.num, L.den
+    W, N = _over((L - 1).inverse(), V)
+    W1, N1 = _over((lam - 1).inverse(), d)
+    H, scale = _apery_horner(lam, exps, mu)
 
-    U_pows = basis.powers(U, mu)
+    U_pows = _ipowers(U, mu, g)
     acc = [0] * len(P)
     N_pow = 1  # N**(mu-n)
     for n in range(mu, -1, -1):
-        X = basis.mul(_homogeneous(eulerian_rows[n], U_pows, V), H[mu - n])
+        X = _imul(_homogeneous(eulerian_rows[n], U_pows, V), H[mu - n], g)
         k = comb(mu, n) * (-a) ** n * N_pow
-        acc = [s + k * x for s, x in zip(basis.mul(acc, W), X)]
+        acc = [s + k * x for s, x in zip(_imul(acc, W, g), X)]
         N_pow *= N
-    main = basis.mul(acc, [V * w for w in W])  # over N**(mu+1) * d**M
-    T = _homogeneous(eulerian_rows[mu], basis.powers(P, mu), d)
-    tail = basis.mul(basis.power(W1, mu + 1), T)  # times (-1)**(mu+1) d / N1**(mu+1)
+    main = _imul(acc, [V * w for w in W], g)  # over N**(mu+1) * D
+    T = _homogeneous(eulerian_rows[mu], _ipowers(P, mu, g), d)
+    tail = _imul(_ipower(W1, mu + 1, g), T, g)  # times (-1)**(mu+1) d / N1**(mu+1)
 
-    main_den = N_pow * d ** exps[0]
+    main_den = N_pow * scale
     tail_den = N1 ** (mu + 1)
     k = (-1) ** (mu + 1) * d * main_den
-    return basis.element([s * tail_den + k * t for s, t in zip(main, tail)], main_den * tail_den)
+    return FieldElement(field, [s * tail_den + k * t for s, t in zip(main, tail)], main_den * tail_den)
 
 
 def _homogeneous(row: Sequence[int], pows: list[list[int]], v: int) -> list[int]:

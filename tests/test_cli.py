@@ -16,6 +16,7 @@ from sylsum.cli import (
 )
 from sylsum.exactnum import (
     NumberField,
+    _int_from_str,
     canonical_str,
     cyclotomic_field,
     element_from_obj,
@@ -99,6 +100,21 @@ class TestParseLambda:
 
     @given(weight_elements)
     def test_canonical_form_roundtrip_fuzz(self, e):
+        back = parse_element(canonical_str(e))
+        assert back == e
+        assert back.field.modulus == e.field.modulus
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            to_element(Fraction(3**10000, 2**9000 + 1)),
+            quadratic_field(5).element([Fraction(-(7**6000), 5), Fraction(1, 3**9500)]),
+            NumberField([Fraction(-(10**5000 + 3), 2**9000), 0, 1]).element([2, -(5**7000)]),
+        ],
+    )
+    def test_canonical_form_roundtrip_beyond_digit_limit(self, e):
+        # every value above has a number of over 4,300 digits, past
+        # CPython's default limit for int <-> str conversion
         back = parse_element(canonical_str(e))
         assert back == e
         assert back.field.modulus == e.field.modulus
@@ -284,6 +300,15 @@ class TestJsonOutput:
         value = element_from_obj(json.loads(out)["result"])
         A = validate_generators([1000, 1001, 1007, 2003])
         assert value == dispatch_sum(SumRequest(A, 1, to_element(Fraction(-3, 2)))).value
+
+    def test_weight_beyond_int_str_digit_limit(self, capsys):
+        num, den = "-" + "3" * 5000, "7" * 4999 + "1"
+        args = ("sum", "--gens", "3,5", "--mu", "1", f"--lambda={num}/{den}", "--format", "json")
+        code, out, err = run(capsys, *args)
+        assert code == 0, err
+        lam = to_element(Fraction(_int_from_str(num), _int_from_str(den)))
+        value = dispatch_sum(SumRequest(validate_generators([3, 5]), 1, lam)).value
+        assert element_from_obj(json.loads(out)["result"]) == value
 
     def test_gaps_json(self, capsys):
         _, out, _ = run(capsys, "gaps", "--gens", "6,9,10", "--format", "json")

@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sylsum.exactnum import (
     QQ,
     DivideByZero,
+    FieldElement,
     FieldMismatch,
     InvalidField,
     NumberField,
@@ -17,8 +18,11 @@ from sylsum.exactnum import (
     cyclotomic_field,
     element_from_obj,
     element_to_obj,
+    _apery_horner,
     _int_from_str,
     _int_str,
+    _pdivmod,
+    _trim,
     pretty_str,
     quadratic_field,
     sqrt_of,
@@ -233,6 +237,190 @@ def test_coefficients_stay_normalized(a, b):
         for c in e.coeffs:
             assert c.denominator > 0
             assert gcd(abs(c.numerator), c.denominator) == 1
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-polynomial arithmetic that integer vectors replaced: elements
+# as coefficient tuples in x, products reduced by polynomial division,
+# inverses by the extended Euclidean algorithm over Q[x].
+
+
+def _padd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def _pneg(p):
+    return tuple(-c for c in p)
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return _trim(out)
+
+
+def _pxgcd(p, q):
+    """Extended Euclid over Q[x]: returns (g, u, v) with u*p + v*q = g."""
+    r0, r1 = _trim(p), _trim(q)
+    u0, u1 = (Fraction(1),), ()
+    v0, v1 = (), (Fraction(1),)
+    while r1:
+        quo, rem = _pdivmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, _padd(u0, _pneg(_pmul(quo, u1)))
+        v0, v1 = v1, _padd(v0, _pneg(_pmul(quo, v1)))
+    return r0, u0, v0
+
+
+def ref_residue(poly, modulus):
+    """poly mod modulus, padded to the field degree."""
+    poly = _trim(poly)
+    if len(poly) >= len(modulus):
+        _, poly = _pdivmod(poly, modulus)
+    return tuple(poly) + (Fraction(0),) * (len(modulus) - 1 - len(poly))
+
+
+def ref_mul(p, q, modulus):
+    return ref_residue(_pmul(_trim(p), _trim(q)), modulus)
+
+
+def ref_inverse(p, modulus):
+    """The inverse's coefficients, or None for a zero divisor (or zero)."""
+    g, u, _ = _pxgcd(_trim(p), modulus)
+    if len(g) != 1:
+        return None
+    return ref_residue(_pmul(u, (1 / g[0],)), modulus)
+
+
+def ref_pow(p, e, modulus):
+    if e < 0:
+        return ref_pow(ref_inverse(p, modulus), -e, modulus)
+    result = ref_residue((Fraction(1),), modulus)
+    while e:
+        if e & 1:
+            result = ref_mul(result, p, modulus)
+        p = ref_mul(p, p, modulus)
+        e >>= 1
+    return result
+
+
+REDUCIBLE = NumberField([-1, 0, 1])  # x^2 - 1 = (x-1)(x+1)
+REFERENCE_FIELDS = [
+    QQ,
+    cyclotomic_field(5),
+    cyclotomic_field(7),
+    cyclotomic_field(8),
+    cyclotomic_field(12),
+    quadratic_field(5),
+    NumberField([-2, 0, 0, 1]),
+    NumberField([Fraction(1, 2), Fraction(-7, 3), Fraction(3, 4), 1]),
+    REDUCIBLE,
+]
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def reference_pairs(draw):
+    field = draw(st.sampled_from(REFERENCE_FIELDS))
+    n = field.degree
+    coeffs = st.one_of(
+        st.lists(sparse_rationals, min_size=n, max_size=n),
+        sparse_rationals.map(lambda q: [q] + [0] * (n - 1)),  # rational valued
+    )
+    if field == REDUCIBLE:  # multiples of x - 1 and x + 1 divide zero
+        coeffs = st.one_of(
+            coeffs, st.builds(lambda q, s: [q, s * q], rationals, st.sampled_from([1, -1]))
+        )
+    return field, draw(coeffs), draw(coeffs)
+
+
+def _in_lowest_terms(e):
+    return e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ZeroDivisor, DivideByZero) as err:
+        return type(err), str(err)
+
+
+class TestAgainstFractionPolynomials:
+    @settings(deadline=None)
+    @given(reference_pairs(), st.integers(-4, 13))
+    @example((REDUCIBLE, [-1, 1], [2, 3]), 1)
+    @example((QQ, [0], [0]), 0)
+    @example((cyclotomic_field(8), [0, 0, 0, 0], [1, 0, 0, 0]), -1)
+    @example((quadratic_field(5), [1, 1], [Fraction(1, 2), Fraction(1, 2)]), 2)
+    def test_arithmetic_matches_reference(self, case, k):
+        field, p, q = case
+        a, b = field.element(p), field.element(q)
+        mod = field.modulus
+        p, q = a.coeffs, b.coeffs
+        assert p == ref_residue([Fraction(c) for c in case[1]], mod)
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(p, q))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(p, q))
+        assert (-a).coeffs == tuple(-x for x in p)
+        assert (a * b).coeffs == ref_mul(p, q, mod)
+        assert field.element(_pmul(_trim(p), _trim(q))) == a * b  # reduces long lists
+        assert (a * Fraction(-3, 7)).coeffs == tuple(x * Fraction(-3, 7) for x in p)
+        assert (a == b) == (p == q)
+        assert field.element(a.coeffs) == a
+
+        inv = ref_inverse(q, mod)
+        if b.is_zero():
+            assert inv is None
+            with pytest.raises(DivideByZero):
+                a / b
+        elif inv is None:
+            assert field == REDUCIBLE
+            msg = f"{b!r} is a zero divisor modulo x^2-1"
+            assert _outcome(b.inverse) == (ZeroDivisor, msg)
+            assert _outcome(lambda: a / b) == (ZeroDivisor, msg)
+        else:
+            assert b.inverse().coeffs == inv
+            assert (a / b).coeffs == ref_mul(p, inv, mod)
+            assert _in_lowest_terms(b.inverse())
+        assert all(map(_in_lowest_terms, (a + b, a - b, a * b, -a)))
+
+        if k < 0 and ref_inverse(p, mod) is None:
+            with pytest.raises((ZeroDivisor, DivideByZero)):
+                a**k
+        else:
+            assert (a**k).coeffs == ref_pow(p, k, mod)  # 0**0 == 1
+
+        if a.is_rational():
+            r = a.as_rational()
+            assert hash(a) == hash(r)
+            assert a == r and a == QQ.from_rational(r) and QQ.from_rational(r) == a
+            assert a == to_element(r, quadratic_field(-1))
+
+
+class TestHornerSteps:
+    def test_steps_in_lowest_terms(self):
+        # lam = -sqrt(5)/5: lam**2 = 5/25 = 1/5, so each step of gap 2 adds
+        # one factor 5 to the scale, not 5**2
+        lam = quadratic_field(5).element([0, Fraction(-1, 5)])
+        exps = list(range(40, -1, -2))
+        H, scale = _apery_horner(lam, exps, 1)
+        assert scale == 5**20
+        for t, h in enumerate(H):
+            want = ref_residue((Fraction(0),), lam.field.modulus)
+            for m in exps:
+                term = ref_pow(lam.coeffs, m, lam.field.modulus)
+                want = tuple(w + m**t * c for w, c in zip(want, term))
+            assert FieldElement(lam.field, h, scale).coeffs == want
 
 
 class TestSerialization:

@@ -221,12 +221,16 @@ def _cmd_gaps(args) -> tuple[dict, list[str]]:
     )
 
 
-def _sum_lines(result: SumResult) -> list[str]:
-    lines = [pretty_str(result.value), f"canonical: {canonical_str(result.value)}"]
-    lines.append(f"formula: {result.formula_used.value}")
-    if result.pivot_used is not None:
-        lines.append(f"pivot: {result.pivot_used}")
-    return lines
+def _sum_output(inputs: dict, result: SumResult) -> tuple[dict, list[str]]:
+    """The envelope and text lines of one sum; each view is rendered once."""
+    value = _value_obj(result.value)
+    formula = result.formula_used.value
+    pivot = result.pivot_used
+    envelope = {"inputs": inputs, "result": value, "formula_used": formula, "pivot": pivot}
+    lines = [value["pretty"], f"canonical: {value['text']}", f"formula: {formula}"]
+    if pivot is not None:
+        lines.append(f"pivot: {pivot}")
+    return envelope, lines
 
 
 def _cmd_sum(args) -> tuple[dict, list[str]]:
@@ -237,25 +241,21 @@ def _cmd_sum(args) -> tuple[dict, list[str]]:
         result = _forced_result(req, args.force_formula)
     else:
         result = dispatch_sum(req)
-    envelope = {
-        "inputs": {"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw},
-        "result": _value_obj(result.value),
-        "formula_used": result.formula_used.value,
-        "pivot": result.pivot_used,
-    }
-    return envelope, _sum_lines(result)
+    return _sum_output({"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw}, result)
 
 
 def _cmd_verify(args) -> tuple[dict, list[str]]:
     A = validate_generators(_parse_gens(args.gens))
     spec = parse_lambda(args.weight)
     report = cross_validate(SumRequest(A, args.mu, spec.resolved))
+    formula_value = _value_obj(report.formula_value)
+    oracle_value = _value_obj(report.oracle_value)
     envelope = {
         "inputs": {"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw},
         "result": {
             "agrees": report.agrees,
-            "formula_value": _value_obj(report.formula_value),
-            "oracle_value": _value_obj(report.oracle_value),
+            "formula_value": formula_value,
+            "oracle_value": oracle_value,
             "gap_count": report.gap_count,
         },
         "formula_used": report.formula_used.value,
@@ -263,8 +263,8 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
     }
     lines = [
         "true" if report.agrees else "false",
-        f"formula_value: {pretty_str(report.formula_value)}",
-        f"oracle_value: {pretty_str(report.oracle_value)}",
+        f"formula_value: {formula_value['pretty']}",
+        f"oracle_value: {oracle_value['pretty']}",
         f"formula: {report.formula_used.value}",
         f"gap_count: {report.gap_count}",
     ]
@@ -282,13 +282,7 @@ def _cmd_closed3(args) -> tuple[dict, list[str]]:
         result = closed_three_var_degenerate(ctx, lam)
     else:
         result = closed_three_var(ctx, lam)
-    envelope = {
-        "inputs": {"gens": gens, "lambda": spec.raw},
-        "result": _value_obj(result.value),
-        "formula_used": result.formula_used.value,
-        "pivot": None,
-    }
-    return envelope, _sum_lines(result)
+    return _sum_output({"gens": gens, "lambda": spec.raw}, result)
 
 
 _HANDLERS = {

@@ -554,9 +554,11 @@ def eulerian_sum(
     exponents: Iterable[int],
     mu: int,
     a: int,
+    L: FieldElement,
     eulerian_rows: Sequence[Sequence[int]],
 ) -> FieldElement:
-    """The combination of Theorem 1, with L = lam**a and S = power_sums:
+    """The combination of Theorem 1, with S = power_sums and L = lam**a as
+    the caller formed it (``sums.evaluate`` does, to test its pivot):
 
       sum_{n=0}^{mu} C(mu,n) (-a)**n A_n(L) S[mu-n] / (L-1)**(n+1)
         + (-1)**(mu+1) A_mu(lam) / (lam-1)**(mu+1),
@@ -565,7 +567,7 @@ def eulerian_sum(
     integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the Horner
     pass of ``power_sums``) with one division at the end:
 
-      * L = U/V in lowest terms, from P**a mod g over d**a, and
+      * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
         (homogeneous in U and V);
       * 1/(L-1) = V*W/N and 1/(lam-1) = d*W1/N1, where W/N = 1/(U-V) and
@@ -576,15 +578,14 @@ def eulerian_sum(
         over N**(mu+1) D, by Horner in W; the tail is
         (-1)**(mu+1) d W1**(mu+1) T / N1**(mu+1), T = sum_j E_mu,j P**j d**(mu-j).
 
-    The exponent list must be nonempty (an Apery set holds 0), and lam**a
-    and lam must differ from 1.
+    The exponent list must be nonempty (an Apery set holds 0), and L and lam
+    must differ from 1.
     """
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         raise ValueError("exponents must be nonempty")
     field = lam.field
     g, P, d = field.g, lam.num, lam.den
-    L = FieldElement(field, _ipower(P, a, g), d**a)
     U, V = L.num, L.den
     W, N = _over((L - 1).inverse(), V)
     W1, N1 = _over((lam - 1).inverse(), d)

@@ -90,6 +90,12 @@ class AperySet:
         return tuple((m - i) // self.pivot for i, m in enumerate(self.reps))
 
 
+def check_pivot(A: GeneratorSet, pivot: int) -> None:
+    """Raise ``ValueError`` unless ``pivot`` is one of the generators."""
+    if pivot not in A:
+        raise ValueError(f"pivot {pivot} is not a generator of {A.gens}")
+
+
 def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     """Compute the Apery set by the round-robin algorithm of Boecker & Liptak.
 
@@ -112,8 +118,7 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     """
     if pivot is None:
         pivot = A.min
-    if pivot not in A:
-        raise ValueError(f"pivot {pivot} is not a generator of {A.gens}")
+    check_pivot(A, pivot)
     a = pivot
     steps = [b for b in A if b % a != 0]
     unreached = a * max(A)

@@ -22,14 +22,16 @@ The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
 weighted formulas consume come from an exact integer Horner pass over the
 sorted Apery set (all t at once).  The general formula is evaluated whole
 by ``exactnum.eulerian_sum`` in the same integer basis, with one division
-at the end; this module hands it the Apery set and the Eulerian rows and
-never sees the integer vectors.  The Bernoulli form needs only the plain
-Apery power sums P_k = sum_i reps[i]**k for k <= mu+1, combined in
-integers over one common denominator.  Every route returns its value in
-the weight's field, also when the value is rational.
+at the end; this module hands it the Apery set, L = lambda**a and the
+Eulerian rows and never sees the integer vectors.  The Bernoulli form
+needs only the plain Apery power sums P_k = sum_i reps[i]**k for
+k <= mu+1, combined in integers over one common denominator.  Every route
+returns its value in the weight's field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once (fixed mu, generator count,
 fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
+A pivot rule tests (lambda, L) with L = lambda**a; ``evaluate`` forms L
+once per candidate a and hands the chosen L to the formula.
 The public formula functions, ``dispatch_sum`` and the CLI all go through
 ``evaluate``; every route is cross-checked against brute-force enumeration
 in the test suite.
@@ -51,6 +53,7 @@ from .semigroup import (
     NonPositive,
     NotCoprime,
     apery_set,
+    check_pivot,
     validate_generators,
 )
 
@@ -111,59 +114,48 @@ Gens = GeneratorSet | tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# formula bodies: (A, mu, lam, pivot) -> value, called only by ``evaluate``
-# once the route's declared domain and pivot rule hold
+# formula bodies, called only by ``evaluate`` once the route's declared domain
+# holds: (A, mu, lam, a, L) with pivot a and L = lambda**a on a route with a
+# pivot rule, (A, mu, lam) on a closed form
 
 
-def _general(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
+def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
-    return eulerian_sum(lam, apery_set(A, pivot).reps, mu, pivot, rows)
+    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, L, rows)
 
 
-def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    La = lam**pivot
-    s0, s1, s2 = power_sums(lam, apery_set(A, pivot).reps, 2)
-    d_inv = (La - 1).inverse()
+def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
+    d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
-    a = pivot
     return (
         d_inv * s2
-        - 2 * a * La * d_inv**2 * s1
-        + a * a * La * (La + 1) * d_inv**3 * s0
+        - 2 * a * L * d_inv**2 * s1
+        + a * a * L * (L + 1) * d_inv**3 * s0
         - lam * (lam + 1) * lam1_inv**3
     )
 
 
-def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    La = lam**pivot
-    s0, s1 = power_sums(lam, apery_set(A, pivot).reps, 1)
-    d_inv = (La - 1).inverse()
+def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1)
+    d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
-    return d_inv * s1 - pivot * La * d_inv**2 * s0 + lam * lam1_inv**2
+    return d_inv * s1 - a * L * d_inv**2 * s0 + lam * lam1_inv**2
 
 
-def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    reps = apery_set(A, pivot).reps
-    a = pivot
-    sq = lam.field.zero
-    lin = lam.field.zero
-    lam_pow = lam.field.one
-    for i in range(1, a):
-        lam_pow = lam_pow * lam
-        m = reps[i]
-        sq = sq + (m * m) * lam_pow
-        lin = lin + m * lam_pow
+def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+    _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
     lam1_inv = (lam - 1).inverse()
-    return Fraction(1, 2 * a) * sq - Fraction(1, 2) * lin + lam * lam1_inv**2
+    return Fraction(1, 2 * a) * s2 - Fraction(1, 2) * s1 + lam * lam1_inv**2
 
 
-def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
+def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> FieldElement:
     # The identity in unweighted_power_sum's docstring, times the lcm of the
     # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
     # total; each other P_k is one C-level map pass over the Apery set, with
     # no per-element list, and the integer total is divided once.
-    reps = apery_set(A, pivot).reps
-    a, m = pivot, mu + 1
+    reps = apery_set(A, a).reps
+    m = mu + 1
     B = [bernoulli(b) for b in range(m + 1)]
     b_lcm = lcm(*(x.denominator for x in B))
     by_b = [x.numerator * (b_lcm // x.denominator) for x in B]
@@ -180,9 +172,8 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> Fiel
     return lam.field.from_rational(value)
 
 
-def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> FieldElement:
-    reps = apery_set(A, pivot).reps
-    a = pivot
+def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> FieldElement:
+    reps = apery_set(A, a).reps
     signed = sum((-1) ** reps[i] * reps[i] for i in range(1, a))
     signs = sum((-1) ** reps[i] for i in range(1, a))
     value = Fraction(-signed, 2) + Fraction(a * signs, 4) + Fraction(a - 1, 4)
@@ -191,7 +182,7 @@ def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, pivot: int) -> Fie
     return lam.field.from_rational(value)
 
 
-def _two_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+def _two_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     a, b = A
     pa, pb = lam**a, lam**b
     if pa.is_one() or pb.is_one():
@@ -207,7 +198,7 @@ def _two_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
     )
 
 
-def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     a, b = A
     pa, pb = lam**a, lam**b
     if not pb.is_one():
@@ -223,7 +214,7 @@ def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, pivot: None) -> Fie
     )
 
 
-def _three_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+def _three_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
     pa, pb, pc = lam**a, lam**b, lam**c
@@ -241,7 +232,7 @@ def _three_var(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement
     return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
 
 
-def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pivot: None) -> FieldElement:
+def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
     pa, pb, pc = lam**a, lam**b, lam**c
@@ -274,22 +265,23 @@ class _Route:
 
     ``mu``, ``arity`` and ``weight`` are the fixed exponent, generator count
     and weight the formula computes (None: any).  ``pivot`` decides whether
-    a generator may serve as the Apery pivot; ``pivot_rule`` says the same
-    in words for error messages.  A route without ``pivot`` uses no Apery
-    set and reads the generators in the order given (the closed forms are
-    not symmetric in them).
+    a generator a may serve as the Apery pivot, from (lambda, L) with
+    L = lambda**a (the int ``weight**a`` on a fixed-weight route);
+    ``pivot_rule`` says the same in words for error messages.  A route
+    without ``pivot`` uses no Apery set and reads the generators in the
+    order given (the closed forms are not symmetric in them).
     """
 
     body: Callable[..., FieldElement]
     mu: int | None = None
     arity: int | None = None
     weight: int | None = None
-    pivot: Callable[[int, FieldElement], bool] | None = None
+    pivot: Callable[[FieldElement, FieldElement | int], bool] | None = None
     pivot_rule: str = ""
 
 
-def _non_unit_power(a: int, lam: FieldElement) -> bool:
-    return not (lam**a).is_one()
+def _non_unit_power(lam: FieldElement, L: FieldElement | int) -> bool:
+    return L != 1
 
 
 ROUTES: dict[Formula, _Route] = {
@@ -299,14 +291,13 @@ ROUTES: dict[Formula, _Route] = {
     Formula.MU1_ROU: _Route(
         _mu1_rou,
         mu=1,
-        pivot=lambda a, lam: not lam.is_one() and (lam**a).is_one(),
+        pivot=lambda lam, L: L == 1 and not lam.is_one(),
         pivot_rule="lambda**a == 1 != lambda",
     ),
-    Formula.UNWEIGHTED: _Route(
-        _unweighted, weight=1, pivot=lambda a, lam: True, pivot_rule="any a"
-    ),
+    Formula.UNWEIGHTED: _Route(_unweighted, weight=1, pivot=lambda lam, L: True, pivot_rule="any a"),
+    # L = (-1)**a differs from 1 exactly when a is odd
     Formula.ALTERNATING: _Route(
-        _alternating, mu=1, weight=-1, pivot=lambda a, lam: a % 2 == 1, pivot_rule="a odd"
+        _alternating, mu=1, weight=-1, pivot=_non_unit_power, pivot_rule="a odd"
     ),
     Formula.TWO_VAR: _Route(_two_var, mu=1, arity=2),
     Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, arity=2),
@@ -319,9 +310,11 @@ def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None 
     """Run one formula after checking the domain its route declares.
 
     Checks, in order: nonzero weight, mu >= 0, the route's fixed mu,
-    generator count and weight; an empty gap set (1 a generator) then gives
-    0.  A route with a pivot rule takes the smallest generator that meets
-    it, or checks the given ``pivot`` against it.  Raises
+    generator count and weight, and that a given ``pivot`` is a generator;
+    an empty gap set (1 a generator) then gives 0.  A route with a pivot
+    rule takes the smallest generator that meets it, or checks the given
+    ``pivot`` against it, forming each candidate's L = lambda**a once.
+    Raises ``ValueError`` for a given ``pivot`` that is not a generator,
     ``PreconditionViolated`` when a condition on mu, lambda or the pivot
     fails and ``ConditionNotMet`` for a wrong number of generators.
     """
@@ -337,17 +330,20 @@ def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None 
         raise ConditionNotMet(f"{formula.value} needs exactly {route.arity} generators")
     if route.weight is not None and lam != route.weight:
         raise PreconditionViolated(f"{formula.value} needs weight {route.weight}")
+    if pivot is not None:
+        check_pivot(A, pivot)
     if 1 in A:
         return SumResult(lam.field.zero, formula, None)
     if route.pivot is None:
-        return SumResult(route.body(A, mu, lam, None), formula, None)
+        return SumResult(route.body(A, mu, lam), formula, None)
     candidates = tuple(A) if pivot is None else (pivot,)
-    pivot = next((a for a in candidates if route.pivot(a, lam)), None)
-    if pivot is None:
-        raise PreconditionViolated(
-            f"{formula.value} needs a pivot a with {route.pivot_rule}; none of {candidates} has it"
-        )
-    return SumResult(route.body(A, mu, lam, pivot), formula, pivot)
+    for a in candidates:
+        L = lam**a if route.weight is None else route.weight**a
+        if route.pivot(lam, L):
+            return SumResult(route.body(A, mu, lam, a, L), formula, a)
+    raise PreconditionViolated(
+        f"{formula.value} needs a pivot a with {route.pivot_rule}; none of {candidates} has it"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +381,9 @@ def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None)
 
     (1/2a) sum_{i=1}^{a-1} reps[i]^2 lambda^i
       - (1/2) sum_{i=1}^{a-1} reps[i] lambda^i + lambda/(lambda-1)^2
+
+    lambda**a == 1 makes lambda^i == lambda^reps[i], and reps[0] == 0, so
+    the two sums are the Apery power sums S[2] and S[1].
     """
     return evaluate(Formula.MU1_ROU, A, 1, lam, pivot)
 

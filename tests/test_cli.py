@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sylsum import sums
+from sylsum import cli, sums
 from sylsum.cli import (
     LambdaSpec,
     ParseError,
@@ -309,6 +309,27 @@ class TestJsonOutput:
         lam = to_element(Fraction(_int_from_str(num), _int_from_str(den)))
         value = dispatch_sum(SumRequest(validate_generators([3, 5]), 1, lam)).value
         assert element_from_obj(json.loads(out)["result"]) == value
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (("sum", "--gens", "5,7,9", "--mu", "2", "--lambda", "q(5; 0, -1/5)"), 1),
+            (("closed3", "--gens", "6,10,15", "--lambda", "-3/2"), 1),
+            (("verify", "--gens", "6,9,10", "--mu", "1", "--lambda", "-3/2"), 2),
+        ],
+    )
+    def test_each_view_rendered_once(self, capsys, monkeypatch, argv, values, fmt):
+        # the text lines read the views _value_obj already rendered
+        calls = []
+        for name in ("pretty_str", "canonical_str", "element_to_obj"):
+            render = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda e, name=name, render=render: calls.append(name) or render(e)
+            )
+        code, _, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        assert sorted(calls) == sorted(["pretty_str", "canonical_str", "element_to_obj"] * values)
 
     def test_gaps_json(self, capsys):
         _, out, _ = run(capsys, "gaps", "--gens", "6,9,10", "--format", "json")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sylsum import sums
 from sylsum.combinatorics import bernoulli, eulerian
 from sylsum.exactnum import (
+    FieldElement,
     NumberField,
     ZeroDivisor,
     power_sums,
@@ -299,7 +300,47 @@ class TestSpecializedFormulas:
                 assert general2.value == weighted_sum_mu2(A, lam, general2.pivot_used).value
 
 
+def mu1_rou_reference(A, lam, pivot):
+    """Theorem 4 as the per-residue loop that the Apery power sums
+    replaced: lam**i stands in for lam**reps[i], as lam**pivot == 1."""
+    reps = apery_set(A, pivot).reps
+    a = pivot
+    sq = lin = lam.field.zero
+    lam_pow = lam.field.one
+    for i in range(1, a):
+        lam_pow = lam_pow * lam
+        sq = sq + (reps[i] * reps[i]) * lam_pow
+        lin = lin + reps[i] * lam_pow
+    lam1_inv = (lam - 1).inverse()
+    return Fraction(1, 2 * a) * sq - Fraction(1, 2) * lin + lam * lam1_inv**2
+
+
 class TestRootOfUnityFormula:
+    @settings(deadline=None)
+    @given(A=generator_sets, data=st.data())
+    @example(A=validate_generators([5, 6, 15]), data=None)
+    def test_matches_residue_loop_and_oracle(self, A, data):
+        if data is None:
+            lam = to_element(-1)
+        else:
+            # a root of unity whose order divides some generator, or -1
+            b = data.draw(st.sampled_from(sorted(A)))
+            n = data.draw(st.sampled_from([n for n in range(2, b + 1) if b % n == 0]))
+            k = data.draw(st.integers(1, n - 1))
+            lam = data.draw(st.sampled_from([zeta(n) ** k, to_element(-1)]))
+        pivots = [a for a in A if (lam**a).is_one()]
+        assume(pivots)
+        oracle = brute_force_weighted_sum(A, 1, lam)
+        for a in pivots:
+            result = weighted_sum_mu1_rou(A, lam, pivot=a)
+            want = mu1_rou_reference(A, lam, a)
+            assert (result.value.field.modulus, result.value.coeffs) == (
+                want.field.modulus,
+                want.coeffs,
+            )
+            assert result.value == oracle
+            assert result.pivot_used == a
+
     def test_unit_pivot_power_against_oracle(self):
         A = validate_generators([4, 6, 9])
         lam = zeta(4)
@@ -538,3 +579,64 @@ class TestDispatch:
         result = dispatch_sum(SumRequest(A3, 1, zeta(8) ** 8))
         assert result.formula_used is Formula.UNWEIGHTED
         assert result.value == 85
+
+
+# Every route with a pivot rule, as (A, lam, pivot) -> SumResult; the two
+# fixed-weight routes ignore lam.
+PIVOT_ROUTES = {
+    "general": lambda A, lam, pivot=None: weighted_power_sum(A, 1, lam, pivot),
+    "mu1": lambda A, lam, pivot=None: weighted_sum_mu1(A, lam, pivot),
+    "mu2": lambda A, lam, pivot=None: weighted_sum_mu2(A, lam, pivot),
+    "mu1_rou": lambda A, lam, pivot=None: weighted_sum_mu1_rou(A, lam, pivot),
+    "unweighted": lambda A, lam, pivot=None: unweighted_power_sum(A, 2, pivot),
+    "alternating": lambda A, lam, pivot=None: alternating_sum(A, pivot),
+}
+
+
+@pytest.fixture
+def pow_exponents(monkeypatch):
+    """The exponent of every ``FieldElement.__pow__`` call, in call order."""
+    seen = []
+    power = FieldElement.__pow__
+
+    def counted(self, exponent):
+        seen.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counted)
+    return seen
+
+
+class TestPivotPower:
+    @pytest.mark.parametrize("route", PIVOT_ROUTES)
+    @pytest.mark.parametrize("pivot", [0, 7, 10**6])
+    @pytest.mark.parametrize("gens", [(3, 5), (1, 4)])  # (1, 4) has no gaps
+    def test_non_generator_pivot_rejected_before_any_power(
+        self, pow_exponents, route, pivot, gens
+    ):
+        message = re.escape(f"pivot {pivot} is not a generator of {gens}")
+        with pytest.raises(ValueError, match=message):
+            PIVOT_ROUTES[route](validate_generators(gens), Fraction(-3, 2), pivot)
+        assert pow_exponents == []
+
+    @pytest.mark.parametrize(
+        "route, lam, tried",
+        [
+            # zeta(4)**4 == 1, so 4 is tried and passed over; 6 is taken
+            ("general", zeta(4), [4, 6]),
+            ("mu1", zeta(4), [4, 6]),
+            ("mu2", zeta(4), [4, 6]),
+            # zeta(3)**4 != 1, so 4 is passed over; zeta(3)**6 == 1
+            ("mu1_rou", zeta(3), [4, 6]),
+        ],
+    )
+    def test_formed_once_per_candidate(self, pow_exponents, route, lam, tried):
+        A = validate_generators([4, 6, 9])
+        assert PIVOT_ROUTES[route](A, lam).pivot_used == tried[-1]
+        assert [pow_exponents.count(a) for a in A] == [int(a in tried) for a in A]
+
+    @pytest.mark.parametrize("route", ["unweighted", "alternating"])
+    @pytest.mark.parametrize("gens", [(4, 6, 9), (1000, 1001, 1007, 2003)])
+    def test_fixed_weight_routes_form_no_power(self, pow_exponents, route, gens):
+        PIVOT_ROUTES[route](validate_generators(gens), None)
+        assert pow_exponents == []

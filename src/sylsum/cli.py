@@ -66,8 +66,6 @@ from .sums import (
     SumRequest,
     SumResult,
     ThreeVarContext,
-    closed_three_var,
-    closed_three_var_degenerate,
     dispatch_sum,
     evaluate,
 )
@@ -278,10 +276,9 @@ def _cmd_closed3(args) -> tuple[dict, list[str]]:
     spec = parse_lambda(args.weight)
     ctx = ThreeVarContext(*gens)
     lam = spec.resolved
-    if (lam**ctx.c).is_one():
-        result = closed_three_var_degenerate(ctx, lam)
-    else:
-        result = closed_three_var(ctx, lam)
+    powers = {ctx.c: lam**ctx.c}
+    formula = Formula.THREE_VAR_DEGENERATE if powers[ctx.c].is_one() else Formula.THREE_VAR
+    result = evaluate(formula, (ctx.a, ctx.b, ctx.c), 1, lam, powers=powers)
     return _sum_output({"gens": gens, "lambda": spec.raw}, result)
 
 

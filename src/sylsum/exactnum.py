@@ -12,8 +12,9 @@ cross-multiplication, multiplication an integer matrix product, inversion a
 fraction-free Gauss-Jordan solve; ``Fraction`` appears only where elements
 are built from, or read back as, rational coefficients in x.  On the same
 integers ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for
-every t in one Horner pass, and ``eulerian_sum`` the whole general formula
-(Theorem 1) with one division at the end.
+every t at once (by residue class when lam is a root of unity, else by a
+Horner walk), and ``eulerian_sum`` the whole general formula (Theorem 1)
+with one division at the end.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -483,44 +485,85 @@ def _over(e: FieldElement, scale: int) -> tuple[list[int], int]:
     return [a // t for a in e.num], e.den * (scale // t)
 
 
-def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
+@functools.lru_cache(maxsize=None)
+def _max_order(n: int) -> int:
+    """The largest r with phi(r) <= n; phi(r) >= sqrt(r/2) bounds the search."""
+    return max(r for r in range(1, 2 * n * n + 1) if sum(gcd(k, r) == 1 for k in range(r)) <= n)
+
+
+def _unit_powers(P: Sequence[int], d: int, g: Sequence[int]) -> list[list[int]] | None:
+    """[P**0, ..., P**(r-1)] mod g for the least r with P**r == d**r * e0, up to
+    the largest order of a root of unity in a field of this degree; else None."""
+    rows = _imatrix(P, g)
+    pows = [[1] + [0] * (len(P) - 1)]
+    for k in range(1, _max_order(len(P)) + 1):
+        Q = [sum(map(mul, row, pows[-1])) for row in rows]
+        if Q[0] == d**k and not any(Q[1:]):
+            return pows
+        pows.append(Q)
+    return None
+
+
+def _apery_sums(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
     """(H, D) with H[t] = D * sum_m m**t * lam**m for t = 0..mu.
 
-    ``exps`` is nonempty and sorted downwards.  With lam = P/d, each step
-    lam**gap is the integer vector P**gap over d**gap, both divided by
-    their gcd and computed once per distinct gap; D is the product of the
-    step denominators.  Walking the exponents from the largest,
-    H_t <- P**gap * H_t (mod g) + m**t * D, which ends at H[t] after the
-    smallest exponent's own step.
+    ``exps`` is nonempty and sorted downwards.  When lam = P/d has an order
+    r that ``_unit_powers`` finds, lam**m depends on m mod r only: with B[t][c]
+    the sum of m**t over the exponents m = c (mod r), H[t] is
+    sum_c B[t][c] * P**c * d**(r-1-c) over D = d**(r-1).  Else the Horner walk.
+    """
+    pows = _unit_powers(lam.num, lam.den, lam.field.g)
+    if pows is None:
+        return _apery_horner(lam, exps, mu)
+    r, d = len(pows), lam.den
+    buckets: list[list[int]] = [[] for _ in pows]
+    for m in exps:
+        buckets[m % r].append(m)
+    scaled = [[x * d ** (r - 1 - c) for x in p] for c, p in enumerate(pows)]
+    B = [[sum(map(pow, b, repeat(t))) for b in buckets] for t in range(mu + 1)]  # 0**0 == 1
+    return [[sum(map(mul, Bt, coord)) for coord in zip(*scaled)] for Bt in B], d ** (r - 1)
+
+
+def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
+    """(H, D) as ``_apery_sums`` gives them, by a Horner walk for any lam.
+
+    With lam = P/d, a step lam**gap is P**gap over d**gap divided by their
+    gcd, P**gap the power of the next smaller gap times P**(difference),
+    and D the product of the step denominators.  From the largest exponent
+    down, H_t <- P**gap * H_t (mod g) + m**t * D, in coordinate-major H
+    (H[i][t]): a step is one C-level pass per nonzero step-matrix entry.
     """
     g, P, d = lam.field.g, lam.num, lam.den
-    steps: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+    ends = exps[1:] + [0]
+    powers = {0: [1] + [0] * (len(P) - 1)}  # P**gap, not reduced
+    steps = {}  # gap -> nonzero (j, entry) of each row of the reduced step, its denominator
+    gaps = sorted({m - n for m, n in zip(exps, ends)} - {0})
+    for prev, gap in zip([0] + gaps, gaps):
+        step = powers.get(gap - prev) or _ipower(P, gap - prev, g)
+        Q = powers[gap] = _imul(powers[prev], step, g)
+        e = d**gap
+        t = gcd(e, *Q)
+        rows = _imatrix([q // t for q in Q], g)
+        steps[gap] = ([[(j, x) for j, x in enumerate(row) if x] for row in rows], e // t)
 
-    def step(gap: int):
-        if gap not in steps:
-            Q, e = _ipower(P, gap, g), d**gap
-            t = gcd(e, *Q)
-            steps[gap] = (_imatrix([q // t for q in Q], g), e // t)
-        return steps[gap]
-
-    H = [[0] * len(P) for _ in range(mu + 1)]
+    H = [[0] * (mu + 1) for _ in P]
     scale = 1  # product of the step denominators so far
-    prev = exps[0]
-    for m in exps:
-        if m != prev:
-            rows, e = step(prev - m)
+    for m, n in zip(exps, ends):
+        H[0] = list(map(add, H[0], accumulate(repeat(m, mu), mul, initial=scale)))
+        if m != n:
+            rows, e = steps[m - n]
             scale *= e
-            H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-            prev = m
-        term = scale
-        for h in H:
-            h[0] += term
-            term *= m
-    if prev:
-        rows, e = step(prev)
-        scale *= e
-        H = [[sum(map(mul, row, h)) for row in rows] for h in H]
-    return H, scale
+            H = [_combine(row, H, mu) for row in rows]
+    return [list(h) for h in zip(*H)], scale
+
+
+def _combine(row: list[tuple[int, int]], H: list[list[int]], mu: int) -> list[int]:
+    """sum_j x * H[j] over the (j, x) of ``row``, elementwise."""
+    acc = None
+    for j, x in row:
+        term = map(mul, repeat(x), H[j])
+        acc = term if acc is None else map(add, acc, term)
+    return [0] * (mu + 1) if acc is None else list(acc)
 
 
 def _sorted_exponents(exponents: Iterable[int], mu: int) -> list[int]:
@@ -536,16 +579,17 @@ def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[Fie
     """S[t] = sum of m**t * lam**m over the exponents m, for t = 0..mu.
 
     0**0 == 1, so an exponent 0 adds lam**0 == 1 to S[0] and nothing to the
-    other S[t].  All of S[0..mu] come from one Horner pass on lam's integer
-    vector P(y) over d (see :class:`FieldElement`): walking the exponents
-    downwards, H_t <- P**gap * H_t (mod g) + m**t * D, with each step
-    P**gap / d**gap in lowest terms and D the product of the step
-    denominators, ends at D * S[t]; one division by D gives S[t].
+    other S[t]; a repeated exponent counts each time.  All of S[0..mu] come
+    at once as integer vectors H_t = D * S[t] on lam's integer vector P(y)
+    over d (see :class:`FieldElement`): summed by residue class mod r when
+    lam**r == 1 for an r with phi(r) <= degree, which every root of unity
+    in a field has, else by a Horner walk over the exponents.  One division
+    by D gives S[t].
     """
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         return [lam.field.zero] * (mu + 1)
-    H, scale = _apery_horner(lam, exps, mu)
+    H, scale = _apery_sums(lam, exps, mu)
     return [FieldElement(lam.field, h, scale) for h in H]
 
 
@@ -564,8 +608,9 @@ def eulerian_sum(
         + (-1)**(mu+1) A_mu(lam) / (lam-1)**(mu+1),
 
     where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
-    integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the Horner
-    pass of ``power_sums``) with one division at the end:
+    integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the same
+    source as ``power_sums``, residue buckets or Horner walk) with one
+    division at the end:
 
       * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
@@ -589,7 +634,7 @@ def eulerian_sum(
     U, V = L.num, L.den
     W, N = _over((L - 1).inverse(), V)
     W1, N1 = _over((lam - 1).inverse(), d)
-    H, scale = _apery_horner(lam, exps, mu)
+    H, scale = _apery_sums(lam, exps, mu)
 
     U_pows = _ipowers(U, mu, g)
     acc = [0] * len(P)

@@ -19,14 +19,15 @@ Which formula applies depends on lambda:
     no Apery set at all, under divisibility side conditions.
 
 The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
-weighted formulas consume come from an exact integer Horner pass over the
-sorted Apery set (all t at once).  The general formula is evaluated whole
-by ``exactnum.eulerian_sum`` in the same integer basis, with one division
-at the end; this module hands it the Apery set, L = lambda**a and the
-Eulerian rows and never sees the integer vectors.  The Bernoulli form
-needs only the plain Apery power sums P_k = sum_i reps[i]**k for
-k <= mu+1, combined in integers over one common denominator.  Every route
-returns its value in the weight's field, also when the value is rational.
+weighted formulas consume come from exact integers, all t at once (by
+residue class for a root-of-unity weight, else by a Horner pass).  The
+general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
+integer basis, with one division at the end; this module hands it the Apery
+set, L = lambda**a and the Eulerian rows and never sees the integer
+vectors.  The Bernoulli form needs only the plain Apery power sums
+P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over one common
+denominator.  Every route returns its value in the weight's field, also
+when the value is rational.
 
 ``ROUTES`` declares each formula's domain once (fixed mu, generator count,
 fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
@@ -116,7 +117,7 @@ Gens = GeneratorSet | tuple[int, ...]
 # ---------------------------------------------------------------------------
 # formula bodies, called only by ``evaluate`` once the route's declared domain
 # holds: (A, mu, lam, a, L) with pivot a and L = lambda**a on a route with a
-# pivot rule, (A, mu, lam) on a closed form
+# pivot rule, (A, mu, lam, pows) on a closed form (pows: lambda**e by e)
 
 
 def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
@@ -173,18 +174,22 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> 
 
 
 def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> FieldElement:
-    reps = apery_set(A, a).reps
-    signed = sum((-1) ** reps[i] * reps[i] for i in range(1, a))
-    signs = sum((-1) ** reps[i] for i in range(1, a))
-    value = Fraction(-signed, 2) + Fraction(a * signs, 4) + Fraction(a - 1, 4)
+    # at lambda = -1 the two sums over i >= 1 are S[1] and S[0] - 1 (reps[0] = 0)
+    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1))
+    value = Fraction(-s1, 2) + Fraction(a * (s0 - 1), 4) + Fraction(a - 1, 4)
     if value.denominator != 1:
         raise ArithmeticError(f"alternating sum {value} is not an integer")
     return lam.field.from_rational(value)
 
 
-def _two_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
+def _lam_powers(lam: FieldElement, exps: tuple[int, ...], pows: dict) -> list[FieldElement]:
+    """lambda**e for each e in exps, each formed once: pows gains the new ones."""
+    return [pows[e] if e in pows else pows.setdefault(e, lam**e) for e in exps]
+
+
+def _two_var(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
     a, b = A
-    pa, pb = lam**a, lam**b
+    pa, pb = _lam_powers(lam, (a, b), pows)
     if pa.is_one() or pb.is_one():
         raise PreconditionViolated("lambda**a and lambda**b must both differ from 1")
     inv_a = (pa - 1).inverse()
@@ -198,9 +203,9 @@ def _two_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     )
 
 
-def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
+def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
     a, b = A
-    pa, pb = lam**a, lam**b
+    pa, pb = _lam_powers(lam, (a, b), pows)
     if not pb.is_one():
         raise PreconditionViolated("this form needs lambda**b == 1")
     if pa.is_one():
@@ -214,15 +219,14 @@ def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     )
 
 
-def _three_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
+def _three_var(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb, pc = lam**a, lam**b, lam**c
+    pa, pb, pc = _lam_powers(lam, (a, b, c), pows)
     if pa.is_one() or pb.is_one() or pc.is_one():
         raise PreconditionViolated("all three lambda powers must differ from 1")
     l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    q1 = lam**l1 - 1
-    q2 = lam**l2 - 1
+    q1, q2 = (p - 1 for p in _lam_powers(lam, (l1, l2), pows))
     den_inv = ((pa - 1) * (pb - 1) * (pc - 1)).inverse()
     lam1_inv = (lam - 1).inverse()
     head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
@@ -232,10 +236,10 @@ def _three_var(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
     return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
 
 
-def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
+def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb, pc = lam**a, lam**b, lam**c
+    pa, pb, pc = _lam_powers(lam, (a, b, c), pows)
     if pa.is_one() or pb.is_one():
         raise PreconditionViolated("lambda**a and lambda**b must differ from 1")
     if not pc.is_one():
@@ -249,7 +253,7 @@ def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement) -> FieldElement:
         - b * (pb - 1).inverse()
     )
     return (
-        Fraction(l2, c) * (lam**l1 - 1) * inv_ab * inner
+        Fraction(l2, c) * (_lam_powers(lam, (l1,), pows)[0] - 1) * inv_ab * inner
         + Fraction(l1 * l2, c) * inv_ab
         + lam * lam1_inv**2
     )
@@ -306,7 +310,9 @@ ROUTES: dict[Formula, _Route] = {
 }
 
 
-def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None = None) -> SumResult:
+def evaluate(
+    formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None = None, powers: dict | None = None
+) -> SumResult:
     """Run one formula after checking the domain its route declares.
 
     Checks, in order: nonzero weight, mu >= 0, the route's fixed mu,
@@ -314,6 +320,8 @@ def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None 
     an empty gap set (1 a generator) then gives 0.  A route with a pivot
     rule takes the smallest generator that meets it, or checks the given
     ``pivot`` against it, forming each candidate's L = lambda**a once.
+    A closed form forms each power of lambda once, taking those in ``powers``
+    (by exponent) as formed: ``closed3`` passes the lambda**c it tested.
     Raises ``ValueError`` for a given ``pivot`` that is not a generator,
     ``PreconditionViolated`` when a condition on mu, lambda or the pivot
     fails and ``ConditionNotMet`` for a wrong number of generators.
@@ -335,7 +343,7 @@ def evaluate(formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None 
     if 1 in A:
         return SumResult(lam.field.zero, formula, None)
     if route.pivot is None:
-        return SumResult(route.body(A, mu, lam), formula, None)
+        return SumResult(route.body(A, mu, lam, dict(powers or {})), formula, None)
     candidates = tuple(A) if pivot is None else (pivot,)
     for a in candidates:
         L = lam**a if route.weight is None else route.weight**a

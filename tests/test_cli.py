@@ -15,6 +15,7 @@ from sylsum.cli import (
     run_command,
 )
 from sylsum.exactnum import (
+    FieldElement,
     NumberField,
     _int_from_str,
     canonical_str,
@@ -441,6 +442,22 @@ class TestClosed3Command:
     def test_needs_three_generators(self, capsys):
         code, _, _ = run(capsys, "closed3", "--gens", "3,8", "--lambda", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_power_of_lambda_formed_once(self, capsys, monkeypatch, fmt):
+        exponents = []
+        power = FieldElement.__pow__
+
+        def counted(self, exponent):
+            exponents.append(exponent)
+            return power(self, exponent)
+
+        monkeypatch.setattr(FieldElement, "__pow__", counted)
+        argv = ["closed3", "--gens", "6,10,15", "--lambda=-3/2", "--format", fmt]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        # lambda**c chooses the form; lcm(6,10) = lcm(6,15) = 30; 2 squares 1/(lambda-1)
+        assert exponents == [15, 6, 10, 30, 2]
 
     def test_generator_one_has_no_gaps(self, capsys):
         code, out, err = run(capsys, "closed3", "--gens", "1,6,9", "--lambda", "1")

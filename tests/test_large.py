@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from sylsum.exactnum import FieldElement, _apery_horner, canonical_str, power_sums, to_element, zeta
 from sylsum.semigroup import (
     apery_set,
     frobenius_number,
@@ -83,11 +84,29 @@ def test_unweighted_matches_paper_double_sum():
 
 
 def test_weighted_pivot_independence():
-    # only on the 1000-instance: its largest Apery element is 146,999; on the
-    # five-generator instance it is about 2*10^6 and one pivot takes a minute
+    # -3/2 only on the 1000-instance: its largest Apery element is 146,999; on
+    # the five-generator instance it is about 2*10^6, and the Horner walk
+    # takes a minute per pivot there
     A = validate_generators([1000, 1001, 1007, 2003])
     values = {weighted_power_sum(A, 1, Fraction(-3, 2), pivot).value for pivot in A}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("lam", [zeta(7), to_element(-1), zeta(12) ** 5], ids=canonical_str)
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_weighted_pivot_independence_at_roots_of_unity(lam, mu):
+    # residue buckets make a pivot cost tens of milliseconds at this size
+    A = validate_generators([20011, 24999, 31013, 37001, 43003])
+    pivots = [a for a in A if not (lam**a).is_one()]
+    assert pivots == list(A)
+    assert len({weighted_power_sum(A, mu, lam, pivot).value for pivot in pivots}) == 1
+
+
+def test_buckets_match_horner_walk():
+    lam = zeta(7)
+    exps = sorted(apery_set(validate_generators([1000, 1001, 1007, 2003])).reps, reverse=True)
+    H, scale = _apery_horner(lam, exps, 6)
+    assert power_sums(lam, exps, 6) == [FieldElement(lam.field, h, scale) for h in H]
 
 
 @pytest.mark.parametrize("a, b", [(100_003, 100_019), (99_991, 150_001), (100_000, 100_001)])

@@ -2,12 +2,13 @@ import random
 import re
 from fractions import Fraction
 from math import comb, gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sylsum import sums
+from sylsum import exactnum, sums
 from sylsum.combinatorics import bernoulli, eulerian
 from sylsum.exactnum import (
     FieldElement,
@@ -233,6 +234,71 @@ generator_sets = (
 REDUCIBLE = NumberField([-1, 0, 1])  # x**2 - 1 = (x - 1)(x + 1)
 
 
+FINITE_ORDER_WEIGHTS = st.one_of(
+    st.builds(lambda n, k: zeta(n) ** (k % n), st.integers(1, 12), st.integers(0, 11)),
+    st.just(to_element(-1)),
+    st.sampled_from([1, -1]).map(lambda r1: quadratic_field(-1).element([0, r1])),
+    st.builds(
+        lambda r0, r1: quadratic_field(-3).element([r0, r1]),
+        st.sampled_from([Fraction(1, 2), Fraction(-1, 2)]),
+        st.sampled_from([Fraction(1, 2), Fraction(-1, 2)]),
+    ),
+    st.just(REDUCIBLE.element([0, 1])),  # x**2 == 1
+)
+INFINITE_ORDER_WEIGHTS = st.sampled_from(
+    [
+        to_element(2),
+        to_element(-2),
+        quadratic_field(2).element([1, 1]),
+        quadratic_field(5).element([Fraction(1, 2), Fraction(1, 2)]),
+        NumberField([-2, 0, 0, 1]).generator,
+    ]
+)
+
+
+class TestPowerSumProviders:
+    """``power_sums`` takes residue buckets when lambda has a finite order it
+    has checked, and the Horner walk for every other weight."""
+
+    @settings(deadline=None)
+    @given(
+        lam=st.one_of(FINITE_ORDER_WEIGHTS, INFINITE_ORDER_WEIGHTS),
+        # repeated exponents and exponent 0 included
+        reps=st.one_of(exponent_lists, exponent_lists.map(lambda r: [0, 0] + r + r)),
+        mu=st.integers(0, 6),
+    )
+    def test_provider_follows_the_order(self, lam, reps, mu):
+        walks = []
+        walk = exactnum._apery_horner
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        with patch.object(exactnum, "_apery_horner", spy):
+            got = power_sums(lam, reps, mu)
+        want = rep_power_sums_reference(reps, lam, mu)
+        assert [s.coeffs for s in got] == [s.coeffs for s in want]
+        finite = any((lam**r).is_one() for r in range(1, 13))
+        assert len(walks) == (0 if finite or not reps else 1)
+
+    def test_walk_builds_gap_powers_from_smaller_gaps(self):
+        lam = to_element(Fraction(-3, 2))
+        exps = sorted(apery_set(validate_generators([1000, 1001, 1007, 2003])).reps, reverse=True)
+        gaps = {m - n for m, n in zip(exps, exps[1:] + [0])} - {0}
+        calls = []
+        ipower = exactnum._ipower
+
+        def spy(*args):
+            calls.append(args)
+            return ipower(*args)
+
+        with patch.object(exactnum, "_ipower", spy):
+            H, scale = exactnum._apery_horner(lam, exps, 1)
+        assert 0 < len(calls) < len(gaps)
+        assert [FieldElement(lam.field, h, scale) for h in H] == power_sums(lam, exps, 1)
+
+
 class TestTheorem1Evaluation:
     @settings(deadline=None)
     @given(A=generator_sets, lam=weights, mu=st.integers(0, 8))
@@ -397,9 +463,25 @@ class TestUnweightedFormula:
             unweighted_power_sum(validate_generators([3, 8]), 0)
 
 
+def alternating_reference(A, pivot):
+    """Corollary 1 as the per-element loop that ``power_sums`` replaced."""
+    reps = apery_set(A, pivot).reps
+    signed = sum((-1) ** reps[i] * reps[i] for i in range(1, pivot))
+    signs = sum((-1) ** reps[i] for i in range(1, pivot))
+    return Fraction(-signed, 2) + Fraction(pivot * signs, 4) + Fraction(pivot - 1, 4)
+
+
 class TestAlternatingSum:
     def test_3_11_17(self):
         assert alternating_sum(A3).value == -5
+
+    @settings(deadline=None)
+    @given(A=generator_sets, data=st.data())
+    def test_matches_reference_and_oracle(self, A, data):
+        pivot = data.draw(st.sampled_from([a for a in A if a % 2]))  # coprime: one is odd
+        value = alternating_sum(A, pivot).value
+        assert value == alternating_reference(A, pivot)
+        assert value == brute_force_weighted_sum(A, 1, -1)
 
     def test_matches_oracle(self):
         assert alternating_sum(A4).value == brute_force_weighted_sum(A4, 1, -1)

@@ -47,7 +47,7 @@ from .exactnum import (
     pretty_str,
     quadratic_field,
 )
-from .oracle import brute_force_weighted_sum, cross_validate
+from .oracle import cross_validate
 from .semigroup import (
     EmptyGenerators,
     NonPositive,
@@ -125,31 +125,12 @@ def parse_element(s: str) -> FieldElement:
     raise ParseError(f"unrecognised weight syntax {s!r}", 0)
 
 
-class LambdaSpec:
-    """A parsed, nonzero weight; ``raw`` round-trips through the grammar."""
-
-    __slots__ = ("raw", "resolved")
-
-    def __init__(self, raw: str, resolved: FieldElement):
-        self.raw = raw
-        self.resolved = resolved
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaSpec) and self.resolved == other.resolved
-
-    def __repr__(self):
-        return f"LambdaSpec({self.raw!r})"
-
-
-def parse_lambda(s: str) -> LambdaSpec:
-    resolved = parse_element(s)
-    if resolved.is_zero():
+def parse_lambda(s: str) -> FieldElement:
+    """Parse a weight; it must be nonzero."""
+    lam = parse_element(s)
+    if lam.is_zero():
         raise InvalidWeight("weight must be nonzero")
-    return LambdaSpec(s, resolved)
-
-
-def format_lambda(spec: LambdaSpec) -> str:
-    return canonical_str(spec.resolved)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +148,6 @@ def _value_obj(value: FieldElement) -> dict:
     obj["text"] = canonical_str(value)
     obj["pretty"] = pretty_str(value)
     return obj
-
-
-def _forced_result(req: SumRequest, name: str) -> SumResult:
-    """Run one specific formula; ``evaluate`` enforces the domain it declares."""
-    formula = Formula(name)
-    if formula is Formula.ORACLE:
-        return SumResult(brute_force_weighted_sum(req.A, req.mu, req.lam), Formula.ORACLE)
-    return evaluate(formula, req.A, req.mu, req.lam)
 
 
 def _emit(envelope: dict, lines: list[str], args) -> None:
@@ -233,23 +206,21 @@ def _sum_output(inputs: dict, result: SumResult) -> tuple[dict, list[str]]:
 
 def _cmd_sum(args) -> tuple[dict, list[str]]:
     A = validate_generators(_parse_gens(args.gens))
-    spec = parse_lambda(args.weight)
-    req = SumRequest(A, args.mu, spec.resolved)
+    req = SumRequest(A, args.mu, parse_lambda(args.weight))
     if args.force_formula:
-        result = _forced_result(req, args.force_formula)
+        result = evaluate(Formula(args.force_formula), req.A, req.mu, req.lam)
     else:
         result = dispatch_sum(req)
-    return _sum_output({"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw}, result)
+    return _sum_output({"gens": list(A.gens), "mu": args.mu, "lambda": args.weight}, result)
 
 
 def _cmd_verify(args) -> tuple[dict, list[str]]:
     A = validate_generators(_parse_gens(args.gens))
-    spec = parse_lambda(args.weight)
-    report = cross_validate(SumRequest(A, args.mu, spec.resolved))
+    report = cross_validate(SumRequest(A, args.mu, parse_lambda(args.weight)))
     formula_value = _value_obj(report.formula_value)
     oracle_value = _value_obj(report.oracle_value)
     envelope = {
-        "inputs": {"gens": list(A.gens), "mu": args.mu, "lambda": spec.raw},
+        "inputs": {"gens": list(A.gens), "mu": args.mu, "lambda": args.weight},
         "result": {
             "agrees": report.agrees,
             "formula_value": formula_value,
@@ -273,13 +244,12 @@ def _cmd_closed3(args) -> tuple[dict, list[str]]:
     gens = _parse_gens(args.gens)
     if len(gens) != 3:
         raise ParseError("closed3 needs exactly three generators a,b,c")
-    spec = parse_lambda(args.weight)
+    lam = parse_lambda(args.weight)
     ctx = ThreeVarContext(*gens)
-    lam = spec.resolved
     powers = {ctx.c: lam**ctx.c}
     formula = Formula.THREE_VAR_DEGENERATE if powers[ctx.c].is_one() else Formula.THREE_VAR
     result = evaluate(formula, (ctx.a, ctx.b, ctx.c), 1, lam, powers=powers)
-    return _sum_output({"gens": gens, "lambda": spec.raw}, result)
+    return _sum_output({"gens": gens, "lambda": args.weight}, result)
 
 
 _HANDLERS = {

@@ -9,8 +9,8 @@ sum_{k=0}^{m+1} (-1)^k C(n+1, k) (m-k+1)^n (with 0**0 == 1) at O(n)
 integer operations per row instead of O(n^2) large powers.  Bernoulli
 numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
 
-Both tables are memoized per process; growth is append-only behind a lock
-so concurrent readers are safe.
+Each sequence is memoized per process in a ``MemoTable``, grown append-only
+behind a lock so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -18,82 +18,64 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, lcm
+from typing import Callable
 
 
-class EulerianTable:
-    """Lazily grown triangle of Eulerian numbers.
+class MemoTable:
+    """Entries 0, 1, ... of a sequence; ``step(entries)`` returns the next."""
 
-    Row n holds entries for 0 <= m <= n; the diagonal entry (n, n) is 0
-    for n >= 1 and the row sums to n!.
-    """
-
-    def __init__(self):
-        self._rows: list[list[int]] = [[1]]
+    def __init__(self, first, step: Callable[[list], object]):
+        self._entries = [first]
+        self._step = step
         self._lock = threading.Lock()
 
-    def value(self, n: int, m: int) -> int:
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        if m < 0 or m >= max(n, 1):
-            return 0
-        if n >= len(self._rows):
+    def __getitem__(self, n: int):
+        if n >= len(self._entries):
             with self._lock:
-                while len(self._rows) <= n:
-                    r = len(self._rows)
-                    prev = self._rows[-1] + [0]  # E(r-1, r) == 0
-                    row = [1]
-                    for j in range(1, r + 1):
-                        row.append((j + 1) * prev[j] + (r - j) * prev[j - 1])
-                    self._rows.append(row)
-        return self._rows[n][m]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        self.value(n, 0)
-        return tuple(self._rows[n])
+                while len(self._entries) <= n:
+                    self._entries.append(self._step(self._entries))
+        return self._entries[n]
 
 
-class BernoulliCache:
-    """Bernoulli numbers B_0, B_1, ... via the defining recurrence
-    sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1.
-
-    Each row sums integers over ``_den``, the lcm of the denominators so
-    far, and forms a single Fraction."""
-
-    def __init__(self):
-        self._values: list[Fraction] = [Fraction(1)]
-        self._den = 1
-        self._lock = threading.Lock()
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    r = len(self._values)
-                    acc = sum(
-                        comb(r + 1, j) * b.numerator * (self._den // b.denominator)
-                        for j, b in enumerate(self._values)
-                        if b
-                    )
-                    b = Fraction(-acc, (r + 1) * self._den)
-                    self._den = lcm(self._den, b.denominator)
-                    self._values.append(b)
-        return self._values[n]
+def next_eulerian_row(rows: list[list[int]]) -> list[int]:
+    """Row r = len(rows) of the Eulerian triangle, by the recurrence."""
+    r = len(rows)
+    prev = rows[-1] + [0]  # E(r-1, r) == 0
+    return [1] + [(j + 1) * prev[j] + (r - j) * prev[j - 1] for j in range(1, r + 1)]
 
 
-_EULERIAN = EulerianTable()
-_BERNOULLI = BernoulliCache()
+def next_bernoulli(entries: list[tuple[Fraction, int]]) -> tuple[Fraction, int]:
+    """(B_r, lcm of the denominators of B_0..B_r) for r = len(entries), from
+    sum_{j=0}^{r} C(r+1, j) B_j = 0 summed in integers over the previous lcm."""
+    r = len(entries)
+    den = entries[-1][1]
+    acc = sum(
+        comb(r + 1, j) * b.numerator * (den // b.denominator)
+        for j, (b, _) in enumerate(entries)
+        if b
+    )
+    b = Fraction(-acc, (r + 1) * den)
+    return b, lcm(den, b.denominator)
+
+
+_EULERIAN = MemoTable([1], next_eulerian_row)
+_BERNOULLI = MemoTable((Fraction(1), 1), next_bernoulli)
 
 
 def eulerian(n: int, m: int) -> int:
-    """Eulerian number for n >= 0; 0 outside the triangle."""
-    return _EULERIAN.value(n, m)
+    """Eulerian number for n >= 0; 0 outside the triangle 0 <= m < max(n, 1)."""
+    if n < 0:
+        raise ValueError("row index must be nonnegative")
+    if m < 0 or m >= max(n, 1):
+        return 0
+    return _EULERIAN[n][m]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2."""
-    return _BERNOULLI.value(n)
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return _BERNOULLI[n][0]
 
 
 def faulhaber_sum(ell: int, kappa: int) -> Fraction:

@@ -8,9 +8,11 @@ and quadratic irrationals alike.
 An element is an integer vector P(y) over one denominator d > 0, in the
 basis y = c*x of its ``NumberField`` that makes the modulus monic and
 integral, so products of integer vectors stay integral.  Addition is integer
-cross-multiplication, multiplication an integer matrix product, inversion a
-fraction-free Gauss-Jordan solve; ``Fraction`` appears only where elements
-are built from, or read back as, rational coefficients in x.  On the same
+cross-multiplication, multiplication an integer matrix product (a fixed
+multiplier's matrix, as in a power ladder, is built once and applied to each
+vector), inversion a fraction-free Gauss-Jordan solve; ``Fraction`` appears
+only where elements are built from, or read back as, rational coefficients
+in x.  On the same
 integers ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for
 every t at once (by residue class when lam is a root of unity, else by a
 Horner walk), and ``eulerian_sum`` the whole general formula (Theorem 1)
@@ -83,13 +85,6 @@ def _pdivmod(p, q):
     return _trim(quot), _trim(rem)
 
 
-def _denominator_lcm(coeffs: Iterable[Fraction]) -> int:
-    d = 1
-    for c in coeffs:
-        d = lcm(d, c.denominator)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # integer vectors modulo a monic integral g, constant term first
 
@@ -106,11 +101,12 @@ def _imatrix(q: Sequence[int], g: Sequence[int]) -> list[tuple[int, ...]]:
         prev = cols[-1]
         top = prev[-1]
         cols.append([-top * g[0]] + [prev[k - 1] - top * g[k] for k in range(1, n)])
-    return [tuple(col[i] for col in cols) for i in range(n)]
+    return list(zip(*cols))
 
 
-def _imul(p: Sequence[int], q: Sequence[int], g: Sequence[int]) -> list[int]:
-    return [sum(map(mul, row, q)) for row in _imatrix(p, g)]
+def _apply(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The matrix with these rows times the vector v."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
@@ -119,18 +115,19 @@ def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
     while e:
         rows = _imatrix(p, g)
         if e & 1:
-            result = [sum(map(mul, row, result)) for row in rows]
+            result = _apply(rows, result)
         e >>= 1
         if e:
-            p = [sum(map(mul, row, p)) for row in rows]
+            p = _apply(rows, p)
     return result
 
 
 def _ipowers(p: Sequence[int], k: int, g: Sequence[int]) -> list[list[int]]:
-    """[p**0, p**1, ..., p**k] mod g."""
+    """[p**0, p**1, ..., p**k] mod g, from one matrix of p."""
+    rows = _imatrix(p, g)
     out = [[1] + [0] * (len(g) - 2)]
     for _ in range(k):
-        out.append(_imul(out[-1], p, g))
+        out.append(_apply(rows, out[-1]))
     return out
 
 
@@ -227,7 +224,7 @@ class NumberField:
         self.label = label if label is not None else f"Q[x]/({_poly_str(coeffs)})"
         self.tag = tag
         n = len(coeffs) - 1
-        c = _denominator_lcm(coeffs)
+        c = lcm(*(f.denominator for f in coeffs))
         self.g = tuple(int(f * c ** (n - k)) for k, f in enumerate(coeffs))
         self.c_pows = tuple(c**k for k in range(n))
 
@@ -245,7 +242,7 @@ class NumberField:
         if len(poly) > self.degree:
             _, poly = _pdivmod(poly, self.modulus)
         in_y = [a / ck for a, ck in zip(poly, self.c_pows)]
-        den = _denominator_lcm(in_y)
+        den = lcm(*(a.denominator for a in in_y))
         num = [a.numerator * (den // a.denominator) for a in in_y]
         return FieldElement(self, num + [0] * (self.degree - len(num)), den)
 
@@ -386,7 +383,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, _imul(self.num, o.num, self.field.g), self.den * o.den)
+        return FieldElement(self.field, _apply(_imatrix(self.num, self.field.g), o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -494,13 +491,10 @@ def _max_order(n: int) -> int:
 def _unit_powers(P: Sequence[int], d: int, g: Sequence[int]) -> list[list[int]] | None:
     """[P**0, ..., P**(r-1)] mod g for the least r with P**r == d**r * e0, up to
     the largest order of a root of unity in a field of this degree; else None."""
-    rows = _imatrix(P, g)
-    pows = [[1] + [0] * (len(P) - 1)]
-    for k in range(1, _max_order(len(P)) + 1):
-        Q = [sum(map(mul, row, pows[-1])) for row in rows]
-        if Q[0] == d**k and not any(Q[1:]):
-            return pows
-        pows.append(Q)
+    pows = _ipowers(P, _max_order(len(P)), g)
+    for r in range(1, len(pows)):
+        if pows[r][0] == d**r and not any(pows[r][1:]):
+            return pows[:r]
     return None
 
 
@@ -519,9 +513,9 @@ def _apery_sums(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[
     buckets: list[list[int]] = [[] for _ in pows]
     for m in exps:
         buckets[m % r].append(m)
-    scaled = [[x * d ** (r - 1 - c) for x in p] for c, p in enumerate(pows)]
+    coords = [[p[i] * d ** (r - 1 - c) for c, p in enumerate(pows)] for i in range(len(lam.num))]
     B = [[sum(map(pow, b, repeat(t))) for b in buckets] for t in range(mu + 1)]  # 0**0 == 1
-    return [[sum(map(mul, Bt, coord)) for coord in zip(*scaled)] for Bt in B], d ** (r - 1)
+    return [_apply(coords, Bt) for Bt in B], d ** (r - 1)
 
 
 def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
@@ -540,7 +534,7 @@ def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[lis
     gaps = sorted({m - n for m, n in zip(exps, ends)} - {0})
     for prev, gap in zip([0] + gaps, gaps):
         step = powers.get(gap - prev) or _ipower(P, gap - prev, g)
-        Q = powers[gap] = _imul(powers[prev], step, g)
+        Q = powers[gap] = _apply(_imatrix(powers[prev], g), step)
         e = d**gap
         t = gcd(e, *Q)
         rows = _imatrix([q // t for q in Q], g)
@@ -637,16 +631,17 @@ def eulerian_sum(
     H, scale = _apery_sums(lam, exps, mu)
 
     U_pows = _ipowers(U, mu, g)
+    W_rows = _imatrix(W, g)
     acc = [0] * len(P)
     N_pow = 1  # N**(mu-n)
     for n in range(mu, -1, -1):
-        X = _imul(_homogeneous(eulerian_rows[n], U_pows, V), H[mu - n], g)
+        X = _apply(_imatrix(_homogeneous(eulerian_rows[n], U_pows, V), g), H[mu - n])
         k = comb(mu, n) * (-a) ** n * N_pow
-        acc = [s + k * x for s, x in zip(_imul(acc, W, g), X)]
+        acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
         N_pow *= N
-    main = _imul(acc, [V * w for w in W], g)  # over N**(mu+1) * D
+    main = [V * x for x in _apply(W_rows, acc)]  # over N**(mu+1) * D
     T = _homogeneous(eulerian_rows[mu], _ipowers(P, mu, g), d)
-    tail = _imul(_ipower(W1, mu + 1, g), T, g)  # times (-1)**(mu+1) d / N1**(mu+1)
+    tail = _apply(_imatrix(_ipower(W1, mu + 1, g), g), T)  # times (-1)**(mu+1) d / N1**(mu+1)
 
     main_den = N_pow * scale
     tail_den = N1 ** (mu + 1)
@@ -712,9 +707,12 @@ def _is_squarefree(n: int) -> bool:
 
 
 def quadratic_field(d: int) -> NumberField:
-    """Q(sqrt(d)) as Q[x]/(x^2 - d), for squarefree d not in {0, 1}."""
+    """Q(sqrt(d)) as Q[x]/(x^2 - d), for squarefree d not in {0, 1} with
+    |d| <= 10**12."""
     if d in (0, 1):
         raise InvalidField(f"no quadratic field for d={d}")
+    if abs(d) > 10**12:  # trial division up to sqrt|d| takes 10**6 steps there
+        raise InvalidField("|d| must be at most 10**12, the bound of the squarefree test")
     if not _is_squarefree(d):
         raise InvalidField(f"d={d} is not squarefree")
     return NumberField((-d, 0, 1), label=f"Q(sqrt({d}))", tag=("quadratic", d))
@@ -795,7 +793,7 @@ def pretty_str(e: FieldElement) -> str:
         symbol = f"sqrt({tag[1]})"
     else:
         symbol = "x"
-    denom = _denominator_lcm(e.coeffs)
+    denom = lcm(*(c.denominator for c in e.coeffs))
     if denom == 1:
         return _poly_str(e.coeffs, symbol, ascending=True)
     scaled = [c * denom for c in e.coeffs]

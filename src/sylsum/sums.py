@@ -33,6 +33,7 @@ when the value is rational.
 fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
 A pivot rule tests (lambda, L) with L = lambda**a; ``evaluate`` forms L
 once per candidate a and hands the chosen L to the formula.
+``Formula.ORACLE`` routes to the brute-force enumeration of ``oracle``.
 The public formula functions, ``dispatch_sum`` and the CLI all go through
 ``evaluate``; every route is cross-checked against brute-force enumeration
 in the test suite.
@@ -117,7 +118,8 @@ Gens = GeneratorSet | tuple[int, ...]
 # ---------------------------------------------------------------------------
 # formula bodies, called only by ``evaluate`` once the route's declared domain
 # holds: (A, mu, lam, a, L) with pivot a and L = lambda**a on a route with a
-# pivot rule, (A, mu, lam, pows) on a closed form (pows: lambda**e by e)
+# pivot rule, (A, mu, lam, pows) on a closed form or the oracle (pows:
+# lambda**e by e)
 
 
 def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
@@ -259,6 +261,12 @@ def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> Fi
     )
 
 
+def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+    from .oracle import brute_force_weighted_sum  # oracle imports this module
+
+    return brute_force_weighted_sum(A, mu, lam)
+
+
 # ---------------------------------------------------------------------------
 # the route table
 
@@ -272,8 +280,8 @@ class _Route:
     a generator a may serve as the Apery pivot, from (lambda, L) with
     L = lambda**a (the int ``weight**a`` on a fixed-weight route);
     ``pivot_rule`` says the same in words for error messages.  A route
-    without ``pivot`` uses no Apery set and reads the generators in the
-    order given (the closed forms are not symmetric in them).
+    without ``pivot`` picks no pivot and reads the generators in the order
+    given (the closed forms are not symmetric in them).
     """
 
     body: Callable[..., FieldElement]
@@ -307,6 +315,7 @@ ROUTES: dict[Formula, _Route] = {
     Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, arity=2),
     Formula.THREE_VAR: _Route(_three_var, mu=1, arity=3),
     Formula.THREE_VAR_DEGENERATE: _Route(_three_var_degenerate, mu=1, arity=3),
+    Formula.ORACLE: _Route(_oracle),
 }
 
 

@@ -6,14 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sylsum import cli, sums
-from sylsum.cli import (
-    LambdaSpec,
-    ParseError,
-    format_lambda,
-    parse_element,
-    parse_lambda,
-    run_command,
-)
+from sylsum.cli import ParseError, parse_element, parse_lambda, run_command
 from sylsum.exactnum import (
     FieldElement,
     NumberField,
@@ -55,23 +48,23 @@ def run(capsys, *argv):
 
 class TestParseLambda:
     def test_rational(self):
-        assert parse_lambda("-2").resolved == -2
-        assert parse_lambda("-3/2").resolved == Fraction(-3, 2)
+        assert parse_lambda("-2") == -2
+        assert parse_lambda("-3/2") == Fraction(-3, 2)
 
     def test_zeta(self):
-        assert parse_lambda("zeta(8)^1").resolved == zeta(8)
-        assert parse_lambda("zeta(8)").resolved == zeta(8)
-        assert parse_lambda("zeta(8)^11").resolved == zeta(8) ** 3
-        assert parse_lambda("zeta(8)^-1").resolved == zeta(8) ** 7
+        assert parse_lambda("zeta(8)^1") == zeta(8)
+        assert parse_lambda("zeta(8)") == zeta(8)
+        assert parse_lambda("zeta(8)^11") == zeta(8) ** 3
+        assert parse_lambda("zeta(8)^-1") == zeta(8) ** 7
 
     def test_quadratic(self):
-        lam = parse_lambda("q(5; 0, -1/5)").resolved
+        lam = parse_lambda("q(5; 0, -1/5)")
         assert lam == quadratic_field(5).element([0, Fraction(-1, 5)])
         # it really is -1/sqrt(5): square must be 1/5
         assert lam * lam == Fraction(1, 5)
 
     def test_nf(self):
-        lam = parse_lambda("nf([-1,0,1]; [0,1])").resolved
+        lam = parse_lambda("nf([-1,0,1]; [0,1])")
         assert lam.field.degree == 2
         assert lam * lam == 1
 
@@ -95,9 +88,11 @@ class TestParseLambda:
         "text", ["-3/2", "zeta(8)^3", "q(5; 0, -1/5)", "nf([-1,0,1]; [2,1])", "7"]
     )
     def test_roundtrip_through_canonical_form(self, text):
-        spec = parse_lambda(text)
-        assert parse_lambda(format_lambda(spec)) == spec
-        assert isinstance(spec, LambdaSpec)
+        lam = parse_lambda(text)
+        assert isinstance(lam, FieldElement)
+        back = parse_lambda(canonical_str(lam))
+        assert back == lam
+        assert back.field.modulus == lam.field.modulus
 
     @given(weight_elements)
     def test_canonical_form_roundtrip_fuzz(self, e):
@@ -197,6 +192,14 @@ class TestCliContract:
         code, _, err = run(capsys, "sum", "--gens", "2,3", "--mu", "1", "--lambda", "wat")
         assert code == 2
         assert "ParseError" in err
+
+    def test_quadratic_d_beyond_bound_exit_2(self, capsys):
+        weight = "q(1000000000000000000000000000057; 1, 1)"
+        code, out, err = run(capsys, "sum", "--gens", "3,5", "--mu", "1", "--lambda", weight)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "InvalidField"
+        assert "10**12" in record["message"]
 
     def test_zero_divisor_exit_4(self, capsys):
         code, _, err = run(

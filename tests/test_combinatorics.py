@@ -1,12 +1,21 @@
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
-from sylsum.combinatorics import EulerianTable, bernoulli, eulerian, faulhaber_sum
+from sylsum.combinatorics import (
+    MemoTable,
+    bernoulli,
+    eulerian,
+    faulhaber_sum,
+    next_bernoulli,
+    next_eulerian_row,
+)
 
 
 def eulerian_by_counting(n, m):
@@ -43,9 +52,9 @@ class TestEulerian:
         assert sum(eulerian(n, m) for m in range(n + 1)) == factorial(n)
 
     def test_recurrence_matches_alternating_sum(self):
-        table = EulerianTable()
+        table = MemoTable([1], next_eulerian_row)
         for n in range(1, 31):  # row 0 is [1] by convention
-            row = table.row(n)
+            row = table[n]
             expected = [
                 sum(
                     (-1) ** k * comb(n + 1, k) * (m - k + 1) ** n  # 0**0 == 1
@@ -104,6 +113,17 @@ class TestBernoulli:
     def test_odd_values_vanish(self, j):
         assert bernoulli(2 * j + 1) == 0
 
+    def test_matches_fraction_recurrence_from_scratch(self):
+        # B_n = -1/(n+1) sum_{j<n} C(n+1, j) B_j, in Fractions, no memo table
+        values = [Fraction(1)]
+        for n in range(1, 201):
+            values.append(-sum(comb(n + 1, j) * b for j, b in enumerate(values)) / (n + 1))
+        assert [bernoulli(n) for n in range(201)] == values
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            bernoulli(-1)
+
 
 class TestFaulhaberSum:
     @pytest.mark.parametrize("kappa", range(0, 7))
@@ -127,15 +147,31 @@ class TestFaulhaberSum:
 
 
 def test_concurrent_table_growth():
-    table = EulerianTable()
+    # eight threads start growing fresh tables at once; a lost or repeated
+    # append would shift every later entry
+    def bernoulli_entry(n):
+        return bernoulli(n), lcm(*(bernoulli(j).denominator for j in range(n + 1)))
+
+    cases = [
+        (MemoTable([1], next_eulerian_row), lambda n: [eulerian(n, m) for m in range(n + 1)]),
+        (MemoTable((Fraction(1), 1), next_bernoulli), bernoulli_entry),
+    ]
     rng = random.Random(13)
-    queries = [(rng.randint(0, 25), rng.randint(0, 25)) for _ in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for table, want in cases:
+            queries = [rng.randint(0, 150) for _ in range(400)]
+            start = threading.Barrier(8, timeout=60)
 
-    def worker(chunk):
-        return [table.value(n, m) for n, m in chunk]
+            def worker(chunk):
+                start.wait()
+                return [table[n] for n in chunk]
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        chunks = [queries[i::8] for i in range(8)]
-        results = list(pool.map(worker, chunks))
-    for chunk, values in zip(chunks, results):
-        assert values == [eulerian(n, m) for n, m in chunk]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                chunks = [queries[i::8] for i in range(8)]
+                results = list(pool.map(worker, chunks, timeout=60))
+            for chunk, values in zip(chunks, results):
+                assert values == [want(n) for n in chunk]
+    finally:
+        sys.setswitchinterval(interval)

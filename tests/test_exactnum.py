@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sylsum import exactnum
+from sylsum.combinatorics import eulerian
 from sylsum.exactnum import (
     QQ,
     DivideByZero,
@@ -18,6 +21,7 @@ from sylsum.exactnum import (
     cyclotomic_field,
     element_from_obj,
     element_to_obj,
+    eulerian_sum,
     _apery_horner,
     _int_from_str,
     _int_str,
@@ -29,6 +33,8 @@ from sylsum.exactnum import (
     to_element,
     zeta,
 )
+from sylsum.oracle import brute_force_weighted_sum
+from sylsum.semigroup import apery_set, validate_generators
 
 # classic cyclotomic polynomial coefficients, constant term first
 CYCLOTOMIC_TABLE = {
@@ -100,6 +106,18 @@ class TestQuadraticField:
     def test_rejects_bad_d(self, d):
         with pytest.raises(InvalidField):
             quadratic_field(d)
+
+    @pytest.mark.parametrize("d", [10**12 + 39, -(10**12) - 1, 10**30 + 57])
+    def test_rejects_d_beyond_bound_without_trial_division(self, d, monkeypatch):
+        # trial division up to sqrt|d| would take about 10**15 steps at 10**30
+        def no_trial_division(n):
+            raise AssertionError("squarefree test reached")
+
+        monkeypatch.setattr(exactnum, "_is_squarefree", no_trial_division)
+        start = time.perf_counter()
+        with pytest.raises(InvalidField, match=r"10\*\*12"):
+            quadratic_field(d)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestElementArithmetic:
@@ -421,6 +439,50 @@ class TestHornerSteps:
                 term = ref_pow(lam.coeffs, m, lam.field.modulus)
                 want = tuple(w + m**t * c for w, c in zip(want, term))
             assert FieldElement(lam.field, h, scale).coeffs == want
+
+
+class TestMatrixReuse:
+    """Each fixed multiplier's matrix is built once and applied many times."""
+
+    @pytest.fixture
+    def imatrix_calls(self, monkeypatch):
+        calls = []
+        build = exactnum._imatrix
+
+        def spy(q, g):
+            calls.append(tuple(q))
+            return build(q, g)
+
+        monkeypatch.setattr(exactnum, "_imatrix", spy)
+        return calls
+
+    def test_powers_ladder_builds_one_matrix(self, imatrix_calls):
+        lam = quadratic_field(5).element([1, 2])
+        pows = exactnum._ipowers(lam.num, 9, lam.field.g)
+        assert imatrix_calls == [lam.num]
+        assert [FieldElement(lam.field, p, 1) for p in pows] == [lam**k for k in range(10)]
+
+    @pytest.mark.parametrize(
+        "lam, order",
+        [(zeta(7) ** 3, 7), (to_element(-1), 2), (quadratic_field(5).element([1, 2]), None)],
+    )
+    def test_unit_powers_builds_one_matrix(self, imatrix_calls, lam, order):
+        pows = exactnum._unit_powers(lam.num, lam.den, lam.field.g)
+        assert imatrix_calls == [lam.num]
+        assert (None if pows is None else len(pows)) == order
+
+    def test_eulerian_sum_builds_fewer_matrices(self, imatrix_calls):
+        # mu = 6, a weight of infinite order: one matrix per product would
+        # build 43 here; W's matrix and each power ladder's are built once
+        A = validate_generators([5, 7, 9])
+        lam = quadratic_field(5).element([1, 2])
+        mu, a = 6, 5
+        rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
+        L = lam**a
+        imatrix_calls.clear()
+        value = eulerian_sum(lam, apery_set(A, a).reps, mu, a, L, rows)
+        assert len(imatrix_calls) <= 26
+        assert value == brute_force_weighted_sum(A, mu, lam)
 
 
 class TestSerialization:

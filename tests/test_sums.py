@@ -617,6 +617,20 @@ class TestClosedThreeVarDegenerate:
         assert value == brute_force_weighted_sum(validate_generators([6, 9, 10]), 1, lam)
 
 
+class TestOracleRoute:
+    @pytest.mark.parametrize(
+        "gens, mu, lam",
+        [([3, 8], 2, -2), ([5, 7, 9], 1, Fraction(-3, 2)), ([4, 6, 9], 3, zeta(4)), ([1, 4], 2, 3)],
+    )
+    def test_evaluate_runs_the_oracle(self, gens, mu, lam):
+        A = validate_generators(gens)
+        result = sums.evaluate(Formula.ORACLE, A, mu, lam)
+        assert result.value == brute_force_weighted_sum(A, mu, lam)
+        assert result.formula_used is Formula.ORACLE
+        assert result.formula_used.value == "oracle"
+        assert result.pivot_used is None
+
+
 class TestDispatch:
     def test_routes_to_general(self):
         result = dispatch_sum(SumRequest(A3, 1, to_element(-2)))

@@ -6,12 +6,11 @@ gaps with exact arithmetic, via closed formulas cross-checked against
 brute-force enumeration.
 """
 
-from .combinatorics import bernoulli, eulerian, faulhaber_sum
+from .combinatorics import bernoulli, eulerian
 from .exactnum import (
     QQ,
     FieldElement,
     NumberField,
-    Rational,
     canonical_str,
     cyclotomic_field,
     pretty_str,
@@ -61,7 +60,6 @@ __all__ = [
     "GeneratorSet",
     "NumberField",
     "QQ",
-    "Rational",
     "SumRequest",
     "SumResult",
     "ThreeVarContext",
@@ -79,7 +77,6 @@ __all__ = [
     "cyclotomic_field",
     "dispatch_sum",
     "eulerian",
-    "faulhaber_sum",
     "frobenius_number",
     "gap_set",
     "pretty_str",

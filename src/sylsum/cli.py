@@ -246,9 +246,7 @@ def _cmd_closed3(args) -> tuple[dict, list[str]]:
         raise ParseError("closed3 needs exactly three generators a,b,c")
     lam = parse_lambda(args.weight)
     ctx = ThreeVarContext(*gens)
-    powers = {ctx.c: lam**ctx.c}
-    formula = Formula.THREE_VAR_DEGENERATE if powers[ctx.c].is_one() else Formula.THREE_VAR
-    result = evaluate(formula, (ctx.a, ctx.b, ctx.c), 1, lam, powers=powers)
+    result = evaluate((Formula.THREE_VAR, Formula.THREE_VAR_DEGENERATE), (ctx.a, ctx.b, ctx.c), 1, lam)
     return _sum_output({"gens": gens, "lambda": args.weight}, result)
 
 

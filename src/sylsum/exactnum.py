@@ -34,8 +34,6 @@ from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "FieldElement"]
 
 
@@ -485,7 +483,11 @@ def _over(e: FieldElement, scale: int) -> tuple[list[int], int]:
 @functools.lru_cache(maxsize=None)
 def _max_order(n: int) -> int:
     """The largest r with phi(r) <= n; phi(r) >= sqrt(r/2) bounds the search."""
-    return max(r for r in range(1, 2 * n * n + 1) if sum(gcd(k, r) == 1 for k in range(r)) <= n)
+    phi = list(range(2 * n * n + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:  # p is prime: each multiple keeps (p - 1)/p of its count
+            phi[p::p] = [f - f // p for f in phi[p::p]]
+    return max(r for r in range(1, len(phi)) if phi[r] <= n)
 
 
 def _unit_powers(P: Sequence[int], d: int, g: Sequence[int]) -> list[list[int]] | None:

@@ -29,10 +29,10 @@ P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over one common
 denominator.  Every route returns its value in the weight's field, also
 when the value is rational.
 
-``ROUTES`` declares each formula's domain once (fixed mu, generator count,
-fixed weight, pivot rule); ``evaluate`` enforces it and runs the formula.
-A pivot rule tests (lambda, L) with L = lambda**a; ``evaluate`` forms L
-once per candidate a and hands the chosen L to the formula.
+``ROUTES`` declares each formula's domain once: fixed mu, generator count
+and weight, and its conditions on powers of lambda (a pivot rule, or a
+closed form's ``units``).  ``evaluate`` runs the first of the formulas it is
+given whose domain holds, forming each power of lambda once per call.
 ``Formula.ORACLE`` routes to the brute-force enumeration of ``oracle``.
 The public formula functions, ``dispatch_sum`` and the CLI all go through
 ``evaluate``; every route is cross-checked against brute-force enumeration
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm
@@ -116,19 +117,20 @@ Gens = GeneratorSet | tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# formula bodies, called only by ``evaluate`` once the route's declared domain
-# holds: (A, mu, lam, a, L) with pivot a and L = lambda**a on a route with a
-# pivot rule, (A, mu, lam, pows) on a closed form or the oracle (pows:
-# lambda**e by e)
+# formula bodies, called by ``evaluate`` once the route's domain holds, as
+# (A, mu, lam, a, power): a is the pivot (None on a route without a pivot
+# rule), and power(e) gives lambda**e, formed once per ``evaluate`` call
+Powers = Callable[[int], FieldElement]
 
 
-def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
-    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, L, rows)
+    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows)
 
 
-def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
+    L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     return (
@@ -139,20 +141,21 @@ def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -
     )
 
 
-def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     s0, s1 = power_sums(lam, apery_set(A, a).reps, 1)
+    L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     return d_inv * s1 - a * L * d_inv**2 * s0 + lam * lam1_inv**2
 
 
-def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: FieldElement) -> FieldElement:
+def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
     lam1_inv = (lam - 1).inverse()
     return Fraction(1, 2 * a) * s2 - Fraction(1, 2) * s1 + lam * lam1_inv**2
 
 
-def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> FieldElement:
+def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     # The identity in unweighted_power_sum's docstring, times the lcm of the
     # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
     # total; each other P_k is one C-level map pass over the Apery set, with
@@ -175,7 +178,7 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> 
     return lam.field.from_rational(value)
 
 
-def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) -> FieldElement:
+def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
     # at lambda = -1 the two sums over i >= 1 are S[1] and S[0] - 1 (reps[0] = 0)
     s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1))
     value = Fraction(-s1, 2) + Fraction(a * (s0 - 1), 4) + Fraction(a - 1, 4)
@@ -184,20 +187,12 @@ def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, L: int) ->
     return lam.field.from_rational(value)
 
 
-def _lam_powers(lam: FieldElement, exps: tuple[int, ...], pows: dict) -> list[FieldElement]:
-    """lambda**e for each e in exps, each formed once: pows gains the new ones."""
-    return [pows[e] if e in pows else pows.setdefault(e, lam**e) for e in exps]
-
-
-def _two_var(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
     a, b = A
-    pa, pb = _lam_powers(lam, (a, b), pows)
-    if pa.is_one() or pb.is_one():
-        raise PreconditionViolated("lambda**a and lambda**b must both differ from 1")
+    pa, pb, pab = power(a), power(b), power(a * b)
     inv_a = (pa - 1).inverse()
     inv_b = (pb - 1).inverse()
     lam1_inv = (lam - 1).inverse()
-    pab = lam ** (a * b)
     return (
         lam * lam1_inv**2
         + (a * b) * pab * inv_a * inv_b
@@ -205,47 +200,31 @@ def _two_var(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
     )
 
 
-def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
     a, b = A
-    pa, pb = _lam_powers(lam, (a, b), pows)
-    if not pb.is_one():
-        raise PreconditionViolated("this form needs lambda**b == 1")
-    if pa.is_one():
-        raise PreconditionViolated("lambda**a must differ from 1")
+    pa = power(a)
     inv_a = (pa - 1).inverse()
     lam1_inv = (lam - 1).inverse()
-    return (
-        lam * lam1_inv**2
-        + Fraction((a - 1) * a * b, 2) * inv_a
-        - (a * a) * pa * inv_a**2
-    )
+    return lam * lam1_inv**2 + Fraction((a - 1) * a * b, 2) * inv_a - (a * a) * pa * inv_a**2
 
 
-def _three_var(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+def _three_var(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb, pc = _lam_powers(lam, (a, b, c), pows)
-    if pa.is_one() or pb.is_one() or pc.is_one():
-        raise PreconditionViolated("all three lambda powers must differ from 1")
+    pa, pb, pc = power(a), power(b), power(c)
     l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    q1, q2 = (p - 1 for p in _lam_powers(lam, (l1, l2), pows))
+    q1, q2 = power(l1) - 1, power(l2) - 1
     den_inv = ((pa - 1) * (pb - 1) * (pc - 1)).inverse()
     lam1_inv = (lam - 1).inverse()
     head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
-    harmonic = (
-        a * (pa - 1).inverse() + b * (pb - 1).inverse() + c * (pc - 1).inverse()
-    )
+    harmonic = a * (pa - 1).inverse() + b * (pb - 1).inverse() + c * (pc - 1).inverse()
     return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
 
 
-def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb, pc = _lam_powers(lam, (a, b, c), pows)
-    if pa.is_one() or pb.is_one():
-        raise PreconditionViolated("lambda**a and lambda**b must differ from 1")
-    if not pc.is_one():
-        raise PreconditionViolated("this form needs lambda**c == 1")
+    pa, pb = power(a), power(b)
     l1, l2 = ctx.lcm_ab, ctx.lcm_ac
     inv_ab = ((pa - 1) * (pb - 1)).inverse()
     lam1_inv = (lam - 1).inverse()
@@ -255,13 +234,13 @@ def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, pows: dict) -> Fi
         - b * (pb - 1).inverse()
     )
     return (
-        Fraction(l2, c) * (_lam_powers(lam, (l1,), pows)[0] - 1) * inv_ab * inner
+        Fraction(l2, c) * (power(l1) - 1) * inv_ab * inner
         + Fraction(l1 * l2, c) * inv_ab
         + lam * lam1_inv**2
     )
 
 
-def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, pows: dict) -> FieldElement:
+def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
     from .oracle import brute_force_weighted_sum  # oracle imports this module
 
     return brute_force_weighted_sum(A, mu, lam)
@@ -275,18 +254,20 @@ def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, pows: dict) -> FieldEle
 class _Route:
     """One formula's domain and body.
 
-    ``mu``, ``arity`` and ``weight`` are the fixed exponent, generator count
-    and weight the formula computes (None: any).  ``pivot`` decides whether
-    a generator a may serve as the Apery pivot, from (lambda, L) with
-    L = lambda**a (the int ``weight**a`` on a fixed-weight route);
-    ``pivot_rule`` says the same in words for error messages.  A route
-    without ``pivot`` picks no pivot and reads the generators in the order
-    given (the closed forms are not symmetric in them).
+    ``mu`` and ``weight`` are the fixed exponent and weight the formula
+    computes (None: any).  ``units`` declares a closed form: for each
+    generator g in the order given, whether it needs lambda**g == 1 (True)
+    or != 1 (False); its length is the generator count.  ``pivot`` decides
+    whether a generator a may serve as the Apery pivot, from (lambda, L)
+    with L = lambda**a (the int ``weight**a`` on a fixed-weight route), and
+    ``pivot_rule`` says the same in words.  A route without ``pivot`` reads
+    the generators in the order given (the closed forms are not symmetric
+    in them).
     """
 
     body: Callable[..., FieldElement]
     mu: int | None = None
-    arity: int | None = None
+    units: tuple[bool, ...] | None = None
     weight: int | None = None
     pivot: Callable[[FieldElement, FieldElement | int], bool] | None = None
     pivot_rule: str = ""
@@ -311,56 +292,77 @@ ROUTES: dict[Formula, _Route] = {
     Formula.ALTERNATING: _Route(
         _alternating, mu=1, weight=-1, pivot=_non_unit_power, pivot_rule="a odd"
     ),
-    Formula.TWO_VAR: _Route(_two_var, mu=1, arity=2),
-    Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, arity=2),
-    Formula.THREE_VAR: _Route(_three_var, mu=1, arity=3),
-    Formula.THREE_VAR_DEGENERATE: _Route(_three_var_degenerate, mu=1, arity=3),
+    Formula.TWO_VAR: _Route(_two_var, mu=1, units=(False, False)),
+    Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, units=(False, True)),
+    Formula.THREE_VAR: _Route(_three_var, mu=1, units=(False, False, False)),
+    Formula.THREE_VAR_DEGENERATE: _Route(_three_var_degenerate, mu=1, units=(False, False, True)),
     Formula.ORACLE: _Route(_oracle),
 }
 
 
-def evaluate(
-    formula: Formula, A: Gens, mu: int, lam: Scalar, pivot: int | None = None, powers: dict | None = None
-) -> SumResult:
-    """Run one formula after checking the domain its route declares.
-
-    Checks, in order: nonzero weight, mu >= 0, the route's fixed mu,
-    generator count and weight, and that a given ``pivot`` is a generator;
-    an empty gap set (1 a generator) then gives 0.  A route with a pivot
-    rule takes the smallest generator that meets it, or checks the given
-    ``pivot`` against it, forming each candidate's L = lambda**a once.
-    A closed form forms each power of lambda once, taking those in ``powers``
-    (by exponent) as formed: ``closed3`` passes the lambda**c it tested.
-    Raises ``ValueError`` for a given ``pivot`` that is not a generator,
-    ``PreconditionViolated`` when a condition on mu, lambda or the pivot
-    fails and ``ConditionNotMet`` for a wrong number of generators.
-    """
+def _admit(
+    formula: Formula, A: Gens, mu: int, lam: FieldElement, pivot: int | None, power: Powers
+) -> int | None | ValueError:
+    """``formula``'s pivot (None: none, or no gaps) if its domain holds, else the error."""
     route = ROUTES[formula]
+    if route.mu is not None and mu != route.mu:
+        return PreconditionViolated(f"{formula.value} computes the mu = {route.mu} sum")
+    if route.units is not None and len(A) != len(route.units):
+        return ConditionNotMet(f"{formula.value} needs exactly {len(route.units)} generators")
+    if route.weight is not None and lam != route.weight:
+        return PreconditionViolated(f"{formula.value} needs weight {route.weight}")
+    if 1 in A:
+        return None
+    if route.pivot is None:
+        pattern = tuple(zip(A, route.units or ()))
+        if all(power(g).is_one() == unit for g, unit in pattern):
+            return None
+        rule = ", ".join(f"lambda**{g} {'==' if unit else '!='} 1" for g, unit in pattern)
+        return PreconditionViolated(f"{formula.value} needs {rule}")
+    candidates = tuple(A) if pivot is None else (pivot,)
+    for a in candidates:
+        L = power(a) if route.weight is None else route.weight**a
+        if route.pivot(lam, L):
+            return a
+    return PreconditionViolated(
+        f"{formula.value} needs a pivot a with {route.pivot_rule}; none of {candidates} has it"
+    )
+
+
+def evaluate(
+    formulas: Formula | tuple[Formula, ...], A: Gens, mu: int, lam: Scalar, pivot: int | None = None
+) -> SumResult:
+    """Run the first of ``formulas`` (one, or a tuple) whose domain holds.
+
+    First, for all: a nonzero weight, mu >= 0, and a given ``pivot`` must be
+    a generator (else ``ValueError``).  Then, per formula in order: its
+    fixed mu, generator count and weight; an empty gap set (1 a generator)
+    gives 0; last its ``units`` pattern or its pivot rule, which takes the
+    smallest generator that meets it (or checks the given ``pivot``).  Each
+    power of lambda is formed once per call.  A formula outside its domain
+    is passed over, but an error from a body (``ConditionNotMet`` from
+    ``ThreeVarContext``, ``ZeroDivisor``) propagates at once.  If none
+    applies, a lone formula raises its own error (``ConditionNotMet`` for
+    the generator count, else ``PreconditionViolated``), and several raise
+    one ``PreconditionViolated`` naming each formula's failing condition.
+    """
+    formulas = (formulas,) if isinstance(formulas, Formula) else formulas
     lam = to_element(lam)
     if lam.is_zero():
         raise PreconditionViolated("weight must be nonzero")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    if route.mu is not None and mu != route.mu:
-        raise PreconditionViolated(f"{formula.value} computes the mu = {route.mu} sum")
-    if route.arity is not None and len(A) != route.arity:
-        raise ConditionNotMet(f"{formula.value} needs exactly {route.arity} generators")
-    if route.weight is not None and lam != route.weight:
-        raise PreconditionViolated(f"{formula.value} needs weight {route.weight}")
     if pivot is not None:
         check_pivot(A, pivot)
-    if 1 in A:
-        return SumResult(lam.field.zero, formula, None)
-    if route.pivot is None:
-        return SumResult(route.body(A, mu, lam, dict(powers or {})), formula, None)
-    candidates = tuple(A) if pivot is None else (pivot,)
-    for a in candidates:
-        L = lam**a if route.weight is None else route.weight**a
-        if route.pivot(lam, L):
-            return SumResult(route.body(A, mu, lam, a, L), formula, a)
-    raise PreconditionViolated(
-        f"{formula.value} needs a pivot a with {route.pivot_rule}; none of {candidates} has it"
-    )
+    power = cache(lam.__pow__)
+    errors = []
+    for formula in formulas:
+        a = _admit(formula, A, mu, lam, pivot, power)
+        if not isinstance(a, ValueError):
+            value = lam.field.zero if 1 in A else ROUTES[formula].body(A, mu, lam, a, power)
+            return SumResult(value, formula, a)
+        errors.append(a)
+    raise errors[0] if len(errors) == 1 else PreconditionViolated("; ".join(map(str, errors)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,5 +548,4 @@ def dispatch_sum(req: SumRequest) -> SumResult:
     lambda != 1 because the generators are coprime).  An empty gap set gives
     0 under the same label, with no pivot.
     """
-    formula = Formula.UNWEIGHTED if req.lam.is_one() else Formula.GENERAL
-    return evaluate(formula, req.A, req.mu, req.lam)
+    return evaluate((Formula.UNWEIGHTED, Formula.GENERAL), req.A, req.mu, req.lam)

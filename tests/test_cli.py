@@ -447,20 +447,35 @@ class TestClosed3Command:
         assert code == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_each_power_of_lambda_formed_once(self, capsys, monkeypatch, fmt):
-        exponents = []
-        power = FieldElement.__pow__
-
-        def counted(self, exponent):
-            exponents.append(exponent)
-            return power(self, exponent)
-
-        monkeypatch.setattr(FieldElement, "__pow__", counted)
+    def test_each_power_of_lambda_formed_once(self, capsys, pow_exponents, fmt):
         argv = ["closed3", "--gens", "6,10,15", "--lambda=-3/2", "--format", fmt]
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        # lambda**c chooses the form; lcm(6,10) = lcm(6,15) = 30; 2 squares 1/(lambda-1)
-        assert exponents == [15, 6, 10, 30, 2]
+        # the units pattern of three_var_thm6 holds; lcm(6,10) = lcm(6,15) = 30;
+        # 2 squares 1/(lambda-1)
+        assert pow_exponents == [6, 10, 15, 30, 2]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_degenerate_form_forms_each_power_once(self, capsys, pow_exponents, fmt):
+        argv = ["closed3", "--gens", "5,15,6", "--lambda", "-1", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "three_var_thm7" in out
+        # three_var_thm6 fails on (-1)**6 == 1, and three_var_thm7 reuses all
+        # three powers; lcm(5,15) = 15 is one of them
+        assert pow_exponents == [5, 15, 6, 2]
+
+    def test_order_beyond_the_search_bound(self, capsys):
+        # x has order 30 in Q[x]/(Phi_5 * Phi_6), of degree 6, so x**30 == 1
+        # is found by the power itself, not by an order search
+        lam = "nf([1,0,1,1,1,0,1]; [0,1])"
+        argv = ["closed3", "--gens", "7,14,30", "--lambda", lam, "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        envelope = json.loads(out)
+        assert envelope["formula_used"] == "three_var_thm7"
+        expected = brute_force_weighted_sum(validate_generators([7, 14, 30]), 1, parse_element(lam))
+        assert element_from_obj(envelope["result"]) == expected
 
     def test_generator_one_has_no_gaps(self, capsys):
         code, out, err = run(capsys, "closed3", "--gens", "1,6,9", "--lambda", "1")

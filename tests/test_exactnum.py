@@ -485,6 +485,22 @@ class TestMatrixReuse:
         assert value == brute_force_weighted_sum(A, mu, lam)
 
 
+def max_order_reference(n):
+    """The largest r with phi(r) <= n, phi counted by gcd for every r <= 2n^2."""
+    return max(r for r in range(1, 2 * n * n + 1) if sum(gcd(k, r) == 1 for k in range(r)) <= n)
+
+
+class TestMaxOrder:
+    def test_sieve_matches_gcd_count(self):
+        assert [exactnum._max_order(n) for n in range(1, 25)] == [
+            max_order_reference(n) for n in range(1, 25)
+        ]
+
+    def test_degree_96(self):
+        # phi(420) = 96, and no r > 420 has phi(r) <= 96
+        assert exactnum._max_order(96) == 420
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "elem",

@@ -12,7 +12,16 @@ from math import gcd
 
 import pytest
 
-from sylsum.exactnum import FieldElement, _apery_horner, canonical_str, power_sums, to_element, zeta
+from sylsum.exactnum import (
+    FieldElement,
+    NumberField,
+    _apery_horner,
+    canonical_str,
+    power_sums,
+    to_element,
+    zeta,
+)
+from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
     apery_set,
     frobenius_number,
@@ -116,3 +125,13 @@ def test_two_generator_identities(a, b):
         assert frobenius_number(A, pivot) == a * b - a - b
         assert sylvester_number(A, pivot) == (a - 1) * (b - 1) // 2
         assert 12 * sylvester_sum(A, pivot) == (a - 1) * (b - 1) * (2 * a * b - a - b - 1)
+
+
+@pytest.mark.parametrize(
+    "lam", [zeta(97), NumberField([1] + [0] * 79 + [1]).element([0, 1])], ids=["zeta(97)", "x^80=-1"]
+)
+def test_high_degree_weight(lam):
+    # the order search behind the residue buckets runs up to 2 * degree^2
+    # (18,432 at degree 96); phi comes from a sieve, so this takes about a second
+    A = validate_generators([3, 5])
+    assert weighted_power_sum(A, 1, lam).value == brute_force_weighted_sum(A, 1, lam)

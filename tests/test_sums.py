@@ -14,6 +14,7 @@ from sylsum.exactnum import (
     FieldElement,
     NumberField,
     ZeroDivisor,
+    canonical_str,
     power_sums,
     quadratic_field,
     to_element,
@@ -617,6 +618,93 @@ class TestClosedThreeVarDegenerate:
         assert value == brute_force_weighted_sum(validate_generators([6, 9, 10]), 1, lam)
 
 
+def _order_three_in_reducible_ring():
+    """A weight of order 3 in Q[x]/((x^2+x+1)(x^2+3x+3)): it is zeta_3 in both
+    factors (x and x+1 are their roots of x^2+x+1), so lambda**g - 1 is a
+    unit or 0, never a zero divisor."""
+    x = NumberField([3, 6, 7, 4, 1]).element([0, 1])
+    return x - Fraction(1, 2) * (x + 1) ** 2 * (x**2 + x + 1)
+
+
+# generators in the order the closed forms read them; each triple has
+# gcd 1 and its first generator divides the lcm of the other two
+CLOSED_PAIRS = [(2, 3), (3, 8), (8, 3), (4, 7), (5, 9), (3, 10), (6, 7), (10, 3)]
+CLOSED_TRIPLES = [
+    (6, 9, 10), (5, 15, 6), (3, 9, 10), (4, 12, 7), (6, 10, 15), (10, 6, 15), (4, 7, 12), (2, 4, 3),
+]
+CLOSED_WEIGHTS = [to_element(w) for w in (2, -1, Fraction(-3, 2), Fraction(1, 2), 1)] + [
+    zeta(3), zeta(4), zeta(5) ** 2, zeta(6), zeta(8) ** 3, zeta(10) ** 3,
+    NumberField([-4, 0, 1]).element([0, 1]),  # x with x^2 = 4: no power is 1
+    _order_three_in_reducible_ring(),
+]
+
+
+class TestClosedRouteUnits:
+    """Each closed form runs exactly where its declared ``units`` pattern holds."""
+
+    def test_declared_patterns(self):
+        assert sums.ROUTES[Formula.TWO_VAR].units == (False, False)
+        assert sums.ROUTES[Formula.TWO_VAR_DEGENERATE].units == (False, True)
+        assert sums.ROUTES[Formula.THREE_VAR].units == (False, False, False)
+        assert sums.ROUTES[Formula.THREE_VAR_DEGENERATE].units == (False, False, True)
+
+    @pytest.mark.parametrize("lam", CLOSED_WEIGHTS, ids=canonical_str)
+    @pytest.mark.parametrize(
+        "formula",
+        [Formula.TWO_VAR, Formula.TWO_VAR_DEGENERATE, Formula.THREE_VAR, Formula.THREE_VAR_DEGENERATE],
+        ids=lambda f: f.value,
+    )
+    def test_value_iff_pattern_holds(self, formula, lam):
+        units = sums.ROUTES[formula].units
+        for gens in CLOSED_PAIRS if len(units) == 2 else CLOSED_TRIPLES:
+            if all((lam**g).is_one() == unit for g, unit in zip(gens, units)):
+                result = sums.evaluate(formula, gens, 1, lam)
+                assert result.formula_used is formula
+                assert result.pivot_used is None
+                assert result.value == brute_force_weighted_sum(validate_generators(gens), 1, lam)
+            else:
+                with pytest.raises(PreconditionViolated, match=f"^{formula.value} needs lambda"):
+                    sums.evaluate(formula, gens, 1, lam)
+
+    def test_message_is_generated_from_the_declaration(self):
+        with pytest.raises(PreconditionViolated) as info:
+            closed_two_var(3, 8, zeta(8))
+        assert str(info.value) == "two_var_closed needs lambda**3 != 1, lambda**8 != 1"
+
+    def test_first_applicable_form_runs(self):
+        pair = (Formula.THREE_VAR, Formula.THREE_VAR_DEGENERATE)
+        assert sums.evaluate(pair, (6, 9, 10), 1, 2).formula_used is Formula.THREE_VAR
+        result = sums.evaluate(pair, (5, 15, 6), 1, -1)
+        assert (result.formula_used, result.value) == (Formula.THREE_VAR_DEGENERATE, -24)
+
+    def test_order_beyond_the_search_bound(self):
+        # Q[x]/(Phi_5 * Phi_6) has degree 6, and x has order 30 there, beyond
+        # the 18 an order search by phi(r) <= degree reaches
+        lam = NumberField([1, 0, 1, 1, 1, 0, 1]).element([0, 1])
+        pair = (Formula.THREE_VAR, Formula.THREE_VAR_DEGENERATE)
+        result = sums.evaluate(pair, (7, 14, 30), 1, lam)
+        assert result.formula_used is Formula.THREE_VAR_DEGENERATE
+        assert result.value == brute_force_weighted_sum(validate_generators([7, 14, 30]), 1, lam)
+
+    def test_no_form_applies(self):
+        pair = (Formula.TWO_VAR, Formula.TWO_VAR_DEGENERATE)
+        with pytest.raises(PreconditionViolated) as info:
+            sums.evaluate(pair, (3, 8), 1, 1)
+        assert str(info.value) == (
+            "two_var_closed needs lambda**3 != 1, lambda**8 != 1; "
+            "two_var_degenerate needs lambda**3 != 1, lambda**8 == 1"
+        )
+
+    def test_body_error_is_not_a_fallback(self):
+        # 4 does not divide lcm(6, 9): the oracle after it must not run
+        with pytest.raises(ConditionNotMet):
+            sums.evaluate((Formula.THREE_VAR, Formula.ORACLE), (4, 6, 9), 1, 2)
+
+    def test_single_form_keeps_its_error_type(self):
+        with pytest.raises(ConditionNotMet, match="needs exactly 2 generators"):
+            sums.evaluate(Formula.TWO_VAR, (3, 8, 13), 1, 2)
+
+
 class TestOracleRoute:
     @pytest.mark.parametrize(
         "gens, mu, lam",
@@ -689,20 +777,6 @@ PIVOT_ROUTES = {
 }
 
 
-@pytest.fixture
-def pow_exponents(monkeypatch):
-    """The exponent of every ``FieldElement.__pow__`` call, in call order."""
-    seen = []
-    power = FieldElement.__pow__
-
-    def counted(self, exponent):
-        seen.append(exponent)
-        return power(self, exponent)
-
-    monkeypatch.setattr(FieldElement, "__pow__", counted)
-    return seen
-
-
 class TestPivotPower:
     @pytest.mark.parametrize("route", PIVOT_ROUTES)
     @pytest.mark.parametrize("pivot", [0, 7, 10**6])
@@ -730,6 +804,13 @@ class TestPivotPower:
         A = validate_generators([4, 6, 9])
         assert PIVOT_ROUTES[route](A, lam).pivot_used == tried[-1]
         assert [pow_exponents.count(a) for a in A] == [int(a in tried) for a in A]
+
+    def test_dispatch_forms_each_pivot_power_once(self, pow_exponents):
+        # unweighted_thm5 is passed over on its weight; general_thm1 reads the
+        # power its pivot search formed
+        A = validate_generators([4, 6, 9])
+        assert dispatch_sum(SumRequest(A, 1, zeta(4))).pivot_used == 6
+        assert [pow_exponents.count(a) for a in A] == [1, 1, 0]
 
     @pytest.mark.parametrize("route", ["unweighted", "alternating"])
     @pytest.mark.parametrize("gens", [(4, 6, 9), (1000, 1001, 1007, 2003)])

@@ -16,7 +16,9 @@ in x.  On the same
 integers ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for
 every t at once (by residue class when lam is a root of unity, else by a
 Horner walk), and ``eulerian_sum`` the whole general formula (Theorem 1)
-with one division at the end.
+with one division at the end.  Both read a root of unity off one
+``order_ladder`` of its powers, stopped at its order, which the caller can
+build once and pass to each.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "FieldElement"]
 
@@ -105,6 +107,23 @@ def _imatrix(q: Sequence[int], g: Sequence[int]) -> list[tuple[int, ...]]:
 def _apply(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     """The matrix with these rows times the vector v."""
     return [sum(map(mul, row, v)) for row in rows]
+
+
+def _multiplier(q: Sequence[int], g: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
+    """v -> q * v mod g, from one matrix of q.  A sparse matrix (at most a
+    quarter of its entries nonzero, as a power of x below the degree gives)
+    is applied by its nonzero entries alone."""
+    rows = _imatrix(q, g)
+    nonzero = [[j for j, x in enumerate(row) if x] for row in rows]
+    if 4 * sum(map(len, nonzero)) > len(rows) ** 2:
+        return functools.partial(_apply, rows)
+    sparse = [(js, [row[j] for j in js]) for js, row in zip(nonzero, rows)]
+
+    def apply(v: Sequence[int]) -> list[int]:
+        at = v.__getitem__
+        return [sum(map(mul, xs, map(at, js))) for js, xs in sparse]
+
+    return apply
 
 
 def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
@@ -490,32 +509,89 @@ def _max_order(n: int) -> int:
     return max(r for r in range(1, len(phi)) if phi[r] <= n)
 
 
-def _unit_powers(P: Sequence[int], d: int, g: Sequence[int]) -> list[list[int]] | None:
-    """[P**0, ..., P**(r-1)] mod g for the least r with P**r == d**r * e0, up to
-    the largest order of a root of unity in a field of this degree; else None."""
-    pows = _ipowers(P, _max_order(len(P)), g)
-    for r in range(1, len(pows)):
-        if pows[r][0] == d**r and not any(pows[r][1:]):
-            return pows[:r]
-    return None
+def order_ladder(lam: FieldElement) -> list[list[int]]:
+    """[P**0, ..., P**(r-1)] mod g for lam = P/d of order r, else [].
+
+    The ladder climbs one product at a time and stops at the first r with
+    P**r == d**r * e0.  It gives up past ``_max_order(degree)``, the largest
+    order of a root of unity in a field of that degree, and then returns [].
+    [] does not prove that no power of lam is 1: a reducible modulus can
+    hold a unit of larger order (x has order 30 in Q[x]/(Phi_5*Phi_6), of
+    degree 6 and bound 18), so a caller with no order forms powers directly.
+    """
+    P, d = lam.num, lam.den
+    times_P = _multiplier(P, lam.field.g)
+    ladder = [[1] + [0] * (len(P) - 1)]
+    d_r = 1  # d**r
+    for _ in range(_max_order(len(P))):
+        Q = times_P(ladder[-1])
+        d_r *= d
+        if Q[0] == d_r and not any(Q[1:]):
+            return ladder
+        ladder.append(Q)
+    return []
 
 
-def _apery_sums(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
+def ladder_power(lam: FieldElement, ladder: list[list[int]], e: int) -> FieldElement:
+    """lam**e for e >= 0, read off lam's nonempty ``order_ladder``."""
+    k = e % len(ladder)
+    return FieldElement(lam.field, ladder[k], lam.den**k)
+
+
+def _ladder_coords(ladder: list[list[int]], d: int) -> list[tuple[int, ...]]:
+    """The ladder over its common denominator d**(r-1), coordinate-major:
+    row i holds coordinate i of P**c * d**(r-1-c) for c = 0..r-1."""
+    if d != 1:
+        r = len(ladder)
+        ladder = [[p * d ** (r - 1 - c) for p in Pc] for c, Pc in enumerate(ladder)]
+    return list(zip(*ladder))
+
+
+def _inverse_minus_one(
+    x: FieldElement, s: int, lam: FieldElement, ladder: list[list[int]]
+) -> FieldElement:
+    """1/(x - 1) for x = lam**s, given lam's ``order_ladder``.
+
+    When lam has an order r, x has order r' = r/gcd(s, r), and
+    (x - 1) * sum_{k<r'} k x**k equals r' - sum_{k<r'} x**k, so
+    1/(x - 1) = (1/r') sum_{k<r'} k x**k exactly when sum_{k<r'} x**k == 0.
+    Both sums are read off the ladder, since x**k = lam**(s*k mod r).  When
+    the sum is not 0, x - 1 is 0 or divides zero (their product is
+    x**r' - 1 == 0); then, and for a lam with no order found, ``inverse``
+    runs and raises its own ``DivideByZero`` or ``ZeroDivisor``.
+    """
+    r = len(ladder)
+    if r:
+        step = gcd(s, r)
+        coords = _ladder_coords(ladder, lam.den)
+        if not any(_apply(coords, [int(c % step == 0) for c in range(r)])):
+            k_at = [0] * r  # k_at[s*k mod r] = k
+            for k in range(r // step):
+                k_at[s * k % r] = k
+            return FieldElement(lam.field, _apply(coords, k_at), r // step * lam.den ** (r - 1))
+    return (x - 1).inverse()
+
+
+def _apery_sums(
+    lam: FieldElement, exps: list[int], mu: int, ladder: list[list[int]] | None = None
+) -> tuple[list[list[int]], int]:
     """(H, D) with H[t] = D * sum_m m**t * lam**m for t = 0..mu.
 
-    ``exps`` is nonempty and sorted downwards.  When lam = P/d has an order
-    r that ``_unit_powers`` finds, lam**m depends on m mod r only: with B[t][c]
-    the sum of m**t over the exponents m = c (mod r), H[t] is
-    sum_c B[t][c] * P**c * d**(r-1-c) over D = d**(r-1).  Else the Horner walk.
+    ``exps`` is nonempty and sorted downwards, and ``ladder`` is lam's
+    ``order_ladder`` (None: build it here).  When the ladder stops at an
+    order r of lam = P/d, lam**m depends on m mod r only: with B[t][c] the
+    sum of m**t over the exponents m = c (mod r), H[t] is
+    sum_c B[t][c] * P**c * d**(r-1-c) over D = d**(r-1).  Else the Horner
+    walk.
     """
-    pows = _unit_powers(lam.num, lam.den, lam.field.g)
-    if pows is None:
+    pows = order_ladder(lam) if ladder is None else ladder
+    if not pows:
         return _apery_horner(lam, exps, mu)
     r, d = len(pows), lam.den
     buckets: list[list[int]] = [[] for _ in pows]
     for m in exps:
         buckets[m % r].append(m)
-    coords = [[p[i] * d ** (r - 1 - c) for c, p in enumerate(pows)] for i in range(len(lam.num))]
+    coords = _ladder_coords(pows, d)
     B = [[sum(map(pow, b, repeat(t))) for b in buckets] for t in range(mu + 1)]  # 0**0 == 1
     return [_apply(coords, Bt) for Bt in B], d ** (r - 1)
 
@@ -571,21 +647,23 @@ def _sorted_exponents(exponents: Iterable[int], mu: int) -> list[int]:
     return exps
 
 
-def power_sums(lam: FieldElement, exponents: Iterable[int], mu: int) -> list[FieldElement]:
+def power_sums(
+    lam: FieldElement, exponents: Iterable[int], mu: int, ladder: list[list[int]] | None = None
+) -> list[FieldElement]:
     """S[t] = sum of m**t * lam**m over the exponents m, for t = 0..mu.
 
     0**0 == 1, so an exponent 0 adds lam**0 == 1 to S[0] and nothing to the
     other S[t]; a repeated exponent counts each time.  All of S[0..mu] come
     at once as integer vectors H_t = D * S[t] on lam's integer vector P(y)
     over d (see :class:`FieldElement`): summed by residue class mod r when
-    lam**r == 1 for an r with phi(r) <= degree, which every root of unity
-    in a field has, else by a Horner walk over the exponents.  One division
-    by D gives S[t].
+    lam's ``order_ladder`` (``ladder``, built here when None) stops at an
+    order r, which every root of unity in a field has, else by a Horner walk
+    over the exponents.  One division by D gives S[t].
     """
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         return [lam.field.zero] * (mu + 1)
-    H, scale = _apery_sums(lam, exps, mu)
+    H, scale = _apery_sums(lam, exps, mu, ladder)
     return [FieldElement(lam.field, h, scale) for h in H]
 
 
@@ -596,6 +674,7 @@ def eulerian_sum(
     a: int,
     L: FieldElement,
     eulerian_rows: Sequence[Sequence[int]],
+    ladder: list[list[int]] | None = None,
 ) -> FieldElement:
     """The combination of Theorem 1, with S = power_sums and L = lam**a as
     the caller formed it (``sums.evaluate`` does, to test its pivot):
@@ -605,16 +684,21 @@ def eulerian_sum(
 
     where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
     integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the same
-    source as ``power_sums``, residue buckets or Horner walk) with one
-    division at the end:
+    source as ``power_sums``, residue buckets or Horner walk, on lam's
+    ``order_ladder``: ``ladder``, built here when None) with one division at
+    the end:
 
       * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
         (homogeneous in U and V);
       * 1/(L-1) = V*W/N and 1/(lam-1) = d*W1/N1, where W/N = 1/(U-V) and
-        W1/N1 = 1/(P-d), each over its least integer denominator, come from
-        ``FieldElement.inverse`` of L - 1 and lam - 1 (so a zero divisor of
-        a reducible modulus raises ``ZeroDivisor`` with the same message);
+        W1/N1 = 1/(P-d) are each over its least integer denominator.  For a
+        lam of order r, both inverses are read off the ladder: x = L (of
+        order r/gcd(a, r)) and x = lam have 1/(x-1) = (1/r') sum_{k<r'} k x**k
+        when sum_{k<r'} x**k == 0, r' the order of x.  Otherwise, and for a
+        lam with no order found, they come from ``FieldElement.inverse``, so
+        a zero divisor of a reducible modulus raises ``ZeroDivisor`` with
+        the same message either way;
       * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
         over N**(mu+1) D, by Horner in W; the tail is
         (-1)**(mu+1) d W1**(mu+1) T / N1**(mu+1), T = sum_j E_mu,j P**j d**(mu-j).
@@ -628,9 +712,10 @@ def eulerian_sum(
     field = lam.field
     g, P, d = field.g, lam.num, lam.den
     U, V = L.num, L.den
-    W, N = _over((L - 1).inverse(), V)
-    W1, N1 = _over((lam - 1).inverse(), d)
-    H, scale = _apery_sums(lam, exps, mu)
+    pows = order_ladder(lam) if ladder is None else ladder
+    W, N = _over(_inverse_minus_one(L, a, lam, pows), V)
+    W1, N1 = _over(_inverse_minus_one(lam, 1, lam, pows), d)
+    H, scale = _apery_sums(lam, exps, mu, pows)
 
     U_pows = _ipowers(U, mu, g)
     W_rows = _imatrix(W, g)

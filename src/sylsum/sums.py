@@ -23,16 +23,18 @@ weighted formulas consume come from exact integers, all t at once (by
 residue class for a root-of-unity weight, else by a Horner pass).  The
 general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
 integer basis, with one division at the end; this module hands it the Apery
-set, L = lambda**a and the Eulerian rows and never sees the integer
-vectors.  The Bernoulli form needs only the plain Apery power sums
-P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over one common
-denominator.  Every route returns its value in the weight's field, also
-when the value is rational.
+set, L = lambda**a, the Eulerian rows and lambda's order ladder, and never
+sees the integer vectors.  The Bernoulli form needs only the plain Apery
+power sums P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over
+one common denominator.  Every route returns its value in the weight's
+field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once: fixed mu, generator count
 and weight, and its conditions on powers of lambda (a pivot rule, or a
 closed form's ``units``).  ``evaluate`` runs the first of the formulas it is
-given whose domain holds, forming each power of lambda once per call.
+given whose domain holds, forming each power of lambda once per call; a
+weight of finite order has its order found once, by one ladder of its
+powers, and its powers read off that ladder.
 ``Formula.ORACLE`` routes to the brute-force enumeration of ``oracle``.
 The public formula functions, ``dispatch_sum`` and the CLI all go through
 ``evaluate``; every route is cross-checked against brute-force enumeration
@@ -43,14 +45,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Callable
 
 from .combinatorics import bernoulli, eulerian
-from .exactnum import FieldElement, Scalar, eulerian_sum, power_sums, to_element
+from .exactnum import (
+    FieldElement,
+    Scalar,
+    eulerian_sum,
+    ladder_power,
+    order_ladder,
+    power_sums,
+    to_element,
+)
 from .semigroup import (
     GeneratorSet,
     NonPositive,
@@ -116,20 +125,51 @@ class SumResult:
 Gens = GeneratorSet | tuple[int, ...]
 
 
+class _Powers:
+    """lambda**e for one ``evaluate`` call, each e formed once.
+
+    ``ladder`` is lambda's ``order_ladder``, built the first time a power or
+    a power sum needs it, and passed on to ``power_sums`` and
+    ``eulerian_sum``.  When it stops at an order r, lambda**e is read off it
+    at e mod r.  When it finds no order, ``FieldElement.__pow__`` forms
+    lambda**e: no order found does not prove lambda**e != 1 (see
+    ``order_ladder``), so every test on a power stays exact.
+    """
+
+    __slots__ = ("lam", "_ladder", "_formed")
+
+    def __init__(self, lam: FieldElement):
+        self.lam = lam
+        self._ladder: list[list[int]] | None = None
+        self._formed: dict[int, FieldElement] = {}
+
+    @property
+    def ladder(self) -> list[list[int]]:
+        if self._ladder is None:
+            self._ladder = order_ladder(self.lam)
+        return self._ladder
+
+    def __call__(self, e: int) -> FieldElement:
+        x = self._formed.get(e)
+        if x is None:
+            ladder = self.ladder
+            x = self._formed[e] = ladder_power(self.lam, ladder, e) if ladder else self.lam**e
+        return x
+
+
 # ---------------------------------------------------------------------------
 # formula bodies, called by ``evaluate`` once the route's domain holds, as
 # (A, mu, lam, a, power): a is the pivot (None on a route without a pivot
-# rule), and power(e) gives lambda**e, formed once per ``evaluate`` call
-Powers = Callable[[int], FieldElement]
+# rule), and power is the call's ``_Powers``
 
 
-def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
+def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
-    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows)
+    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows, power.ladder)
 
 
-def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
-    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
+def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
+    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder)
     L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
@@ -141,21 +181,21 @@ def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> 
     )
 
 
-def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
-    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1)
+def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
+    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1, power.ladder)
     L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
     return d_inv * s1 - a * L * d_inv**2 * s0 + lam * lam1_inv**2
 
 
-def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
-    _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
+def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
+    _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder)
     lam1_inv = (lam - 1).inverse()
     return Fraction(1, 2 * a) * s2 - Fraction(1, 2) * s1 + lam * lam1_inv**2
 
 
-def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
+def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     # The identity in unweighted_power_sum's docstring, times the lcm of the
     # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
     # total; each other P_k is one C-level map pass over the Apery set, with
@@ -178,16 +218,16 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powe
     return lam.field.from_rational(value)
 
 
-def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: Powers) -> FieldElement:
+def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     # at lambda = -1 the two sums over i >= 1 are S[1] and S[0] - 1 (reps[0] = 0)
-    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1))
+    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1, power.ladder))
     value = Fraction(-s1, 2) + Fraction(a * (s0 - 1), 4) + Fraction(a - 1, 4)
     if value.denominator != 1:
         raise ArithmeticError(f"alternating sum {value} is not an integer")
     return lam.field.from_rational(value)
 
 
-def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
+def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
     a, b = A
     pa, pb, pab = power(a), power(b), power(a * b)
     inv_a = (pa - 1).inverse()
@@ -200,7 +240,7 @@ def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> Fie
     )
 
 
-def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
+def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
     a, b = A
     pa = power(a)
     inv_a = (pa - 1).inverse()
@@ -208,31 +248,31 @@ def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: Pow
     return lam * lam1_inv**2 + Fraction((a - 1) * a * b, 2) * inv_a - (a * a) * pa * inv_a**2
 
 
-def _three_var(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
+def _three_var(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
     pa, pb, pc = power(a), power(b), power(c)
     l1, l2 = ctx.lcm_ab, ctx.lcm_ac
     q1, q2 = power(l1) - 1, power(l2) - 1
-    den_inv = ((pa - 1) * (pb - 1) * (pc - 1)).inverse()
+    # each factor inverted on its own: their product is 0 when a reducible
+    # modulus makes them zero divisors, and ``inverse`` names the factor
+    inv_a, inv_b, inv_c = (pa - 1).inverse(), (pb - 1).inverse(), (pc - 1).inverse()
+    den_inv = inv_a * inv_b * inv_c
     lam1_inv = (lam - 1).inverse()
     head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
-    harmonic = a * (pa - 1).inverse() + b * (pb - 1).inverse() + c * (pc - 1).inverse()
+    harmonic = a * inv_a + b * inv_b + c * inv_c
     return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
 
 
-def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
+def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
     ctx = ThreeVarContext(*A)
     a, b, c = ctx.a, ctx.b, ctx.c
     pa, pb = power(a), power(b)
     l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    inv_ab = ((pa - 1) * (pb - 1)).inverse()
+    inv_a, inv_b = (pa - 1).inverse(), (pb - 1).inverse()
+    inv_ab = inv_a * inv_b
     lam1_inv = (lam - 1).inverse()
-    inner = (
-        Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2)
-        - a * (pa - 1).inverse()
-        - b * (pb - 1).inverse()
-    )
+    inner = Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2) - a * inv_a - b * inv_b
     return (
         Fraction(l2, c) * (power(l1) - 1) * inv_ab * inner
         + Fraction(l1 * l2, c) * inv_ab
@@ -240,7 +280,7 @@ def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: P
     )
 
 
-def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, _: None, power: Powers) -> FieldElement:
+def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
     from .oracle import brute_force_weighted_sum  # oracle imports this module
 
     return brute_force_weighted_sum(A, mu, lam)
@@ -301,7 +341,7 @@ ROUTES: dict[Formula, _Route] = {
 
 
 def _admit(
-    formula: Formula, A: Gens, mu: int, lam: FieldElement, pivot: int | None, power: Powers
+    formula: Formula, A: Gens, mu: int, lam: FieldElement, pivot: int | None, power: _Powers
 ) -> int | None | ValueError:
     """``formula``'s pivot (None: none, or no gaps) if its domain holds, else the error."""
     route = ROUTES[formula]
@@ -354,7 +394,7 @@ def evaluate(
         raise ValueError("mu must be nonnegative")
     if pivot is not None:
         check_pivot(A, pivot)
-    power = cache(lam.__pow__)
+    power = _Powers(lam)
     errors = []
     for formula in formulas:
         a = _admit(formula, A, mu, lam, pivot, power)

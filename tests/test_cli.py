@@ -477,6 +477,15 @@ class TestClosed3Command:
         expected = brute_force_weighted_sum(validate_generators([7, 14, 30]), 1, parse_element(lam))
         assert element_from_obj(envelope["result"]) == expected
 
+    def test_zero_divisor_factors_exit_4(self, capsys):
+        # x**15 - 1 and x**6 - 1 each divide zero modulo Phi_5 * Phi_6, and
+        # their product with x**10 - 1 is 0; each factor is inverted alone
+        lam = "nf([1,0,1,1,1,0,1]; [0,1])"
+        code, out, err = run(capsys, "closed3", "--gens", "6,9,10", "--lambda", lam)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "ZeroDivisor"
+
     def test_generator_one_has_no_gaps(self, capsys):
         code, out, err = run(capsys, "closed3", "--gens", "1,6,9", "--lambda", "1")
         assert code == 0, err

@@ -467,9 +467,9 @@ class TestMatrixReuse:
         [(zeta(7) ** 3, 7), (to_element(-1), 2), (quadratic_field(5).element([1, 2]), None)],
     )
     def test_unit_powers_builds_one_matrix(self, imatrix_calls, lam, order):
-        pows = exactnum._unit_powers(lam.num, lam.den, lam.field.g)
+        pows = exactnum.order_ladder(lam)
         assert imatrix_calls == [lam.num]
-        assert (None if pows is None else len(pows)) == order
+        assert (len(pows) or None) == order
 
     def test_eulerian_sum_builds_fewer_matrices(self, imatrix_calls):
         # mu = 6, a weight of infinite order: one matrix per product would

@@ -6,17 +6,20 @@ sums and statistics to pivot independence: every pivot gives a different
 Apery set and a different rational function, but the same value.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from sylsum.cli import run_command
 from sylsum.exactnum import (
     FieldElement,
     NumberField,
     _apery_horner,
     canonical_str,
+    element_from_obj,
     power_sums,
     to_element,
     zeta,
@@ -135,3 +138,19 @@ def test_high_degree_weight(lam):
     # (18,432 at degree 96); phi comes from a sieve, so this takes about a second
     A = validate_generators([3, 5])
     assert weighted_power_sum(A, 1, lam).value == brute_force_weighted_sum(A, 1, lam)
+
+
+def test_degree_400_weight_inverts_nothing(capsys, inverse_calls):
+    # zeta(1000) has degree 400: the order ladder stops at 1000, and both
+    # unit inverses of the general formula are read off it, with no Bareiss
+    # elimination on a 400 x 400 matrix
+    argv = ["sum", "--gens", "3,5", "--mu", "1", "--lambda", "zeta(1000)", "--format", "json"]
+    code = run_command(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert inverse_calls == []
+    A, lam = validate_generators([3, 5]), zeta(1000)
+    assert list(gap_set(A)) == [1, 2, 4, 7]
+    want = sum((n * lam**n for n in (1, 2, 4, 7)), lam.field.zero)
+    assert want == brute_force_weighted_sum(A, 1, lam)
+    assert element_from_obj(json.loads(out)["result"]) == want

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sylsum import exactnum, sums
 from sylsum.combinatorics import bernoulli, eulerian
 from sylsum.exactnum import (
+    DivideByZero,
     FieldElement,
     NumberField,
     ZeroDivisor,
@@ -763,6 +764,72 @@ class TestDispatch:
         result = dispatch_sum(SumRequest(A3, 1, zeta(8) ** 8))
         assert result.formula_used is Formula.UNWEIGHTED
         assert result.value == 85
+
+
+# weights of finite order, each within the order ladder's bound
+LADDER_WEIGHTS = st.one_of(
+    st.builds(lambda n, k: zeta(n) ** (k % n), st.integers(1, 30), st.integers(0, 29)),
+    st.just(quadratic_field(-3).element([Fraction(1, 2), Fraction(1, 2)])),
+    st.just(to_element(-1)),
+)
+
+
+class TestOrderLadder:
+    """A weight of finite order has its powers and its unit inverses read off
+    one order ladder; each must equal what the general path forms."""
+
+    @settings(deadline=None)
+    @given(lam=LADDER_WEIGHTS, exponents=st.lists(st.integers(0, 200), max_size=6))
+    def test_memo_power_is_the_field_power(self, lam, exponents):
+        power = sums._Powers(lam)
+        assert power.ladder
+        for e in exponents:
+            got, want = power(e), FieldElement.__pow__(lam, e)
+            assert (got.num, got.den) == (want.num, want.den)
+
+    @settings(deadline=None)
+    @given(lam=LADDER_WEIGHTS, s=st.integers(0, 200))
+    def test_ladder_inverse_is_the_field_inverse(self, lam, s):
+        ladder = exactnum.order_ladder(lam)
+        x = lam**s
+        try:
+            want = (x - 1).inverse()
+        except (DivideByZero, ZeroDivisor) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                exactnum._inverse_minus_one(x, s, lam, ladder)
+            return
+        got = exactnum._inverse_minus_one(x, s, lam, ladder)
+        assert (got.num, got.den) == (want.num, want.den)
+
+    @settings(deadline=None)
+    @given(A=generator_sets, lam=LADDER_WEIGHTS, mu=st.integers(0, 4), data=st.data())
+    def test_sums_match_brute_force(self, A, lam, mu, data):
+        want = brute_force_weighted_sum(A, mu, lam)
+        assert dispatch_sum(SumRequest(A, mu, lam)).value == want
+        pivots = [p for p in A if not (lam**p).is_one()]
+        if pivots:
+            pivot = data.draw(st.sampled_from(pivots))
+            assert weighted_power_sum(A, mu, lam, pivot).value == want
+
+    def test_general_route_inverts_nothing(self, inverse_calls):
+        result = weighted_power_sum(A4, 3, zeta(7) ** 3)
+        assert inverse_calls == []
+        assert result.value == brute_force_weighted_sum(A4, 3, zeta(7) ** 3)
+
+    def test_zero_divisor_keeps_its_message(self):
+        # x has order 2 modulo x**2 - 1, and x - 1 divides zero: the ladder
+        # sum 1 + x is not 0, so the inverse falls back to Bareiss
+        lam = REDUCIBLE.element([0, 1])
+        assert len(exactnum.order_ladder(lam)) == 2
+        message = "<-1+x in Q[x]/(x^2-1)> is a zero divisor modulo x^2-1"
+        with pytest.raises(ZeroDivisor, match=f"^{re.escape(message)}$"):
+            dispatch_sum(SumRequest(validate_generators([2, 3]), 1, lam))
+
+    def test_fixed_weight_route_builds_no_ladder(self, monkeypatch):
+        ladders = []
+        monkeypatch.setattr(sums, "order_ladder", lambda lam: ladders.append(lam) or [])
+        assert unweighted_power_sum(A4, 2).value == sum(n * n for n in gap_set(A4))
+        assert ladders == []
 
 
 # Every route with a pivot rule, as (A, lam, pivot) -> SumResult; the two

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "FieldElement"]
 
@@ -107,23 +107,6 @@ def _imatrix(q: Sequence[int], g: Sequence[int]) -> list[tuple[int, ...]]:
 def _apply(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     """The matrix with these rows times the vector v."""
     return [sum(map(mul, row, v)) for row in rows]
-
-
-def _multiplier(q: Sequence[int], g: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
-    """v -> q * v mod g, from one matrix of q.  A sparse matrix (at most a
-    quarter of its entries nonzero, as a power of x below the degree gives)
-    is applied by its nonzero entries alone."""
-    rows = _imatrix(q, g)
-    nonzero = [[j for j, x in enumerate(row) if x] for row in rows]
-    if 4 * sum(map(len, nonzero)) > len(rows) ** 2:
-        return functools.partial(_apply, rows)
-    sparse = [(js, [row[j] for j in js]) for js, row in zip(nonzero, rows)]
-
-    def apply(v: Sequence[int]) -> list[int]:
-        at = v.__getitem__
-        return [sum(map(mul, xs, map(at, js))) for js, xs in sparse]
-
-    return apply
 
 
 def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
@@ -520,11 +503,11 @@ def order_ladder(lam: FieldElement) -> list[list[int]]:
     degree 6 and bound 18), so a caller with no order forms powers directly.
     """
     P, d = lam.num, lam.den
-    times_P = _multiplier(P, lam.field.g)
+    rows = _imatrix(P, lam.field.g)
     ladder = [[1] + [0] * (len(P) - 1)]
     d_r = 1  # d**r
     for _ in range(_max_order(len(P))):
-        Q = times_P(ladder[-1])
+        Q = _apply(rows, ladder[-1])
         d_r *= d
         if Q[0] == d_r and not any(Q[1:]):
             return ladder
@@ -540,7 +523,8 @@ def ladder_power(lam: FieldElement, ladder: list[list[int]], e: int) -> FieldEle
 
 def _ladder_coords(ladder: list[list[int]], d: int) -> list[tuple[int, ...]]:
     """The ladder over its common denominator d**(r-1), coordinate-major:
-    row i holds coordinate i of P**c * d**(r-1-c) for c = 0..r-1."""
+    row i holds coordinate i of P**c * d**(r-1-c) for c = 0..r-1.  An empty
+    ladder (no order found) gives []."""
     if d != 1:
         r = len(ladder)
         ladder = [[p * d ** (r - 1 - c) for p in Pc] for c, Pc in enumerate(ladder)]
@@ -548,9 +532,10 @@ def _ladder_coords(ladder: list[list[int]], d: int) -> list[tuple[int, ...]]:
 
 
 def _inverse_minus_one(
-    x: FieldElement, s: int, lam: FieldElement, ladder: list[list[int]]
+    x: FieldElement, s: int, lam: FieldElement, coords: list[tuple[int, ...]]
 ) -> FieldElement:
-    """1/(x - 1) for x = lam**s, given lam's ``order_ladder``.
+    """1/(x - 1) for x = lam**s, given lam's ``order_ladder`` as
+    ``_ladder_coords`` lays it out.
 
     When lam has an order r, x has order r' = r/gcd(s, r), and
     (x - 1) * sum_{k<r'} k x**k equals r' - sum_{k<r'} x**k, so
@@ -560,10 +545,9 @@ def _inverse_minus_one(
     x**r' - 1 == 0); then, and for a lam with no order found, ``inverse``
     runs and raises its own ``DivideByZero`` or ``ZeroDivisor``.
     """
-    r = len(ladder)
-    if r:
+    if coords:
+        r = len(coords[0])
         step = gcd(s, r)
-        coords = _ladder_coords(ladder, lam.den)
         if not any(_apply(coords, [int(c % step == 0) for c in range(r)])):
             k_at = [0] * r  # k_at[s*k mod r] = k
             for k in range(r // step):
@@ -573,27 +557,25 @@ def _inverse_minus_one(
 
 
 def _apery_sums(
-    lam: FieldElement, exps: list[int], mu: int, ladder: list[list[int]] | None = None
+    lam: FieldElement, exps: list[int], mu: int, coords: list[tuple[int, ...]]
 ) -> tuple[list[list[int]], int]:
     """(H, D) with H[t] = D * sum_m m**t * lam**m for t = 0..mu.
 
-    ``exps`` is nonempty and sorted downwards, and ``ladder`` is lam's
-    ``order_ladder`` (None: build it here).  When the ladder stops at an
-    order r of lam = P/d, lam**m depends on m mod r only: with B[t][c] the
-    sum of m**t over the exponents m = c (mod r), H[t] is
-    sum_c B[t][c] * P**c * d**(r-1-c) over D = d**(r-1).  Else the Horner
-    walk.
+    ``exps`` is nonempty and sorted downwards, and ``coords`` is lam's
+    ``order_ladder`` as ``_ladder_coords`` lays it out.  When the ladder
+    stops at an order r of lam = P/d, lam**m depends on m mod r only: with
+    B[t][c] the sum of m**t over the exponents m = c (mod r), H[t] is
+    sum_c B[t][c] * P**c * d**(r-1-c) over D = d**(r-1).  When it found no
+    order (coords is []), the Horner walk.
     """
-    pows = order_ladder(lam) if ladder is None else ladder
-    if not pows:
+    if not coords:
         return _apery_horner(lam, exps, mu)
-    r, d = len(pows), lam.den
-    buckets: list[list[int]] = [[] for _ in pows]
+    r = len(coords[0])
+    buckets: list[list[int]] = [[] for _ in range(r)]
     for m in exps:
         buckets[m % r].append(m)
-    coords = _ladder_coords(pows, d)
     B = [[sum(map(pow, b, repeat(t))) for b in buckets] for t in range(mu + 1)]  # 0**0 == 1
-    return [_apply(coords, Bt) for Bt in B], d ** (r - 1)
+    return [_apply(coords, Bt) for Bt in B], lam.den ** (r - 1)
 
 
 def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[list[int]], int]:
@@ -663,7 +645,8 @@ def power_sums(
     exps = _sorted_exponents(exponents, mu)
     if not exps:
         return [lam.field.zero] * (mu + 1)
-    H, scale = _apery_sums(lam, exps, mu, ladder)
+    ladder = order_ladder(lam) if ladder is None else ladder
+    H, scale = _apery_sums(lam, exps, mu, _ladder_coords(ladder, lam.den))
     return [FieldElement(lam.field, h, scale) for h in H]
 
 
@@ -712,10 +695,11 @@ def eulerian_sum(
     field = lam.field
     g, P, d = field.g, lam.num, lam.den
     U, V = L.num, L.den
-    pows = order_ladder(lam) if ladder is None else ladder
-    W, N = _over(_inverse_minus_one(L, a, lam, pows), V)
-    W1, N1 = _over(_inverse_minus_one(lam, 1, lam, pows), d)
-    H, scale = _apery_sums(lam, exps, mu, pows)
+    ladder = order_ladder(lam) if ladder is None else ladder
+    coords = _ladder_coords(ladder, d)
+    W, N = _over(_inverse_minus_one(L, a, lam, coords), V)
+    W1, N1 = _over(_inverse_minus_one(lam, 1, lam, coords), d)
+    H, scale = _apery_sums(lam, exps, mu, coords)
 
     U_pows = _ipowers(U, mu, g)
     W_rows = _imatrix(W, g)
@@ -727,7 +711,8 @@ def eulerian_sum(
         acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
         N_pow *= N
     main = [V * x for x in _apply(W_rows, acc)]  # over N**(mu+1) * D
-    T = _homogeneous(eulerian_rows[mu], _ipowers(P, mu, g), d)
+    P_pows = ladder if mu < len(ladder) else _ipowers(P, mu, g)  # P**0..P**mu, or more
+    T = _homogeneous(eulerian_rows[mu], P_pows, d)
     tail = _apply(_imatrix(_ipower(W1, mu + 1, g), g), T)  # times (-1)**(mu+1) d / N1**(mu+1)
 
     main_den = N_pow * scale

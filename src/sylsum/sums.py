@@ -32,9 +32,9 @@ field, also when the value is rational.
 ``ROUTES`` declares each formula's domain once: fixed mu, generator count
 and weight, and its conditions on powers of lambda (a pivot rule, or a
 closed form's ``units``).  ``evaluate`` runs the first of the formulas it is
-given whose domain holds, forming each power of lambda once per call; a
-weight of finite order has its order found once, by one ladder of its
-powers, and its powers read off that ladder.
+given whose domain holds, forming each power of lambda once per call.  A
+route that reads power sums finds a finite-order weight's order once, by
+one ladder of its powers, and reads its powers off that ladder.
 ``Formula.ORACLE`` routes to the brute-force enumeration of ``oracle``.
 The public formula functions, ``dispatch_sum`` and the CLI all go through
 ``evaluate``; every route is cross-checked against brute-force enumeration
@@ -128,12 +128,15 @@ Gens = GeneratorSet | tuple[int, ...]
 class _Powers:
     """lambda**e for one ``evaluate`` call, each e formed once.
 
-    ``ladder`` is lambda's ``order_ladder``, built the first time a power or
-    a power sum needs it, and passed on to ``power_sums`` and
-    ``eulerian_sum``.  When it stops at an order r, lambda**e is read off it
-    at e mod r.  When it finds no order, ``FieldElement.__pow__`` forms
-    lambda**e: no order found does not prove lambda**e != 1 (see
-    ``order_ladder``), so every test on a power stays exact.
+    ``ladder()`` climbs lambda's ``order_ladder`` on its first call, which a
+    route that reads power sums makes before its pivot test, and the bodies
+    pass it on to ``power_sums`` and ``eulerian_sum``.  Once it stops at an
+    order r, lambda**e is read off it at e mod r.  Before it is climbed (the
+    closed forms never climb it: a few powers do not pay for up to
+    ``_max_order(degree)`` steps), or when it finds no order,
+    ``FieldElement.__pow__`` forms lambda**e: no order found does not prove
+    lambda**e != 1 (see ``order_ladder``), so every test on a power stays
+    exact.
     """
 
     __slots__ = ("lam", "_ladder", "_formed")
@@ -143,7 +146,6 @@ class _Powers:
         self._ladder: list[list[int]] | None = None
         self._formed: dict[int, FieldElement] = {}
 
-    @property
     def ladder(self) -> list[list[int]]:
         if self._ladder is None:
             self._ladder = order_ladder(self.lam)
@@ -152,7 +154,7 @@ class _Powers:
     def __call__(self, e: int) -> FieldElement:
         x = self._formed.get(e)
         if x is None:
-            ladder = self.ladder
+            ladder = self._ladder
             x = self._formed[e] = ladder_power(self.lam, ladder, e) if ladder else self.lam**e
         return x
 
@@ -165,11 +167,11 @@ class _Powers:
 
 def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
-    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows, power.ladder)
+    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows, power.ladder())
 
 
 def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder)
+    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder())
     L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
@@ -182,7 +184,7 @@ def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) ->
 
 
 def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1, power.ladder)
+    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1, power.ladder())
     L = power(a)
     d_inv = (L - 1).inverse()
     lam1_inv = (lam - 1).inverse()
@@ -190,7 +192,7 @@ def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) ->
 
 
 def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder)
+    _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder())
     lam1_inv = (lam - 1).inverse()
     return Fraction(1, 2 * a) * s2 - Fraction(1, 2) * s1 + lam * lam1_inv**2
 
@@ -220,7 +222,7 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Pow
 
 def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     # at lambda = -1 the two sums over i >= 1 are S[1] and S[0] - 1 (reps[0] = 0)
-    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1, power.ladder))
+    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1, power.ladder()))
     value = Fraction(-s1, 2) + Fraction(a * (s0 - 1), 4) + Fraction(a - 1, 4)
     if value.denominator != 1:
         raise ArithmeticError(f"alternating sum {value} is not an integer")
@@ -360,6 +362,8 @@ def _admit(
         rule = ", ".join(f"lambda**{g} {'==' if unit else '!='} 1" for g, unit in pattern)
         return PreconditionViolated(f"{formula.value} needs {rule}")
     candidates = tuple(A) if pivot is None else (pivot,)
+    if route.weight is None:
+        power.ladder()  # this route reads power sums off the ladder
     for a in candidates:
         L = power(a) if route.weight is None else route.weight**a
         if route.pivot(lam, L):

@@ -782,7 +782,7 @@ class TestOrderLadder:
     @given(lam=LADDER_WEIGHTS, exponents=st.lists(st.integers(0, 200), max_size=6))
     def test_memo_power_is_the_field_power(self, lam, exponents):
         power = sums._Powers(lam)
-        assert power.ladder
+        assert power.ladder()
         for e in exponents:
             got, want = power(e), FieldElement.__pow__(lam, e)
             assert (got.num, got.den) == (want.num, want.den)
@@ -790,15 +790,15 @@ class TestOrderLadder:
     @settings(deadline=None)
     @given(lam=LADDER_WEIGHTS, s=st.integers(0, 200))
     def test_ladder_inverse_is_the_field_inverse(self, lam, s):
-        ladder = exactnum.order_ladder(lam)
+        coords = exactnum._ladder_coords(exactnum.order_ladder(lam), lam.den)
         x = lam**s
         try:
             want = (x - 1).inverse()
         except (DivideByZero, ZeroDivisor) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                exactnum._inverse_minus_one(x, s, lam, ladder)
+                exactnum._inverse_minus_one(x, s, lam, coords)
             return
-        got = exactnum._inverse_minus_one(x, s, lam, ladder)
+        got = exactnum._inverse_minus_one(x, s, lam, coords)
         assert (got.num, got.den) == (want.num, want.den)
 
     @settings(deadline=None)
@@ -829,6 +829,18 @@ class TestOrderLadder:
         ladders = []
         monkeypatch.setattr(sums, "order_ladder", lambda lam: ladders.append(lam) or [])
         assert unweighted_power_sum(A4, 2).value == sum(n * n for n in gap_set(A4))
+        assert ladders == []
+
+    @pytest.mark.parametrize("lam", [Fraction(-3, 2), zeta(7)])
+    def test_closed_forms_build_no_ladder(self, monkeypatch, lam):
+        # a closed form needs a few powers of lambda, formed by __pow__; an
+        # order search could cost up to _max_order(degree) products
+        want2 = brute_force_weighted_sum(validate_generators([3, 5]), 1, lam)
+        want3 = brute_force_weighted_sum(validate_generators([6, 10, 15]), 1, lam)
+        ladders = []
+        monkeypatch.setattr(sums, "order_ladder", lambda lam: ladders.append(lam) or [])
+        assert closed_two_var(3, 5, lam).value == want2
+        assert closed_three_var(ThreeVarContext(6, 10, 15), lam).value == want3
         assert ladders == []
 
 

@@ -10,15 +10,17 @@ basis y = c*x of its ``NumberField`` that makes the modulus monic and
 integral, so products of integer vectors stay integral.  Addition is integer
 cross-multiplication, multiplication an integer matrix product (a fixed
 multiplier's matrix, as in a power ladder, is built once and applied to each
-vector), inversion a fraction-free Gauss-Jordan solve; ``Fraction`` appears
-only where elements are built from, or read back as, rational coefficients
-in x.  On the same
-integers ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for
-every t at once (by residue class when lam is a root of unity, else by a
-Horner walk), and ``eulerian_sum`` the whole general formula (Theorem 1)
-with one division at the end.  Both read a root of unity off one
-``order_ladder`` of its powers, stopped at its order, which the caller can
-build once and pass to each.
+vector), a power one square-and-multiply, inversion a fraction-free
+Gauss-Jordan solve.  ``Fraction`` appears only in moduli, in text forms and
+where elements are built from, or read back as, coefficients in x: nothing
+here divides Fraction polynomials.  The cyclotomic modulus Phi_n is an
+integer product of factors (1 - x**e)**(+-1), e | n.  On the same integers
+``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for every t
+at once (by residue class when lam is a root of unity, else by a Horner
+walk), and ``eulerian_sum`` the whole general formula (Theorem 1) with one
+division at the end.  Both read a root of unity off one ``order_ladder``
+of its powers, stopped at its order, which the caller can build once and
+pass to each.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import comb, gcd, lcm
+from itertools import accumulate, count, repeat
+from math import comb, gcd, lcm, log
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
@@ -53,36 +55,6 @@ class ZeroDivisor(ArithmeticError):
 
 class DivideByZero(ZeroDivisionError):
     """Inversion of the zero element."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over Fraction, constant term first, no trailing zeros
-
-
-def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(p)
-    while n > 0 and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _pdivmod(p, q):
-    """Polynomial division over Q; q must be nonzero."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(p) - dq, 0)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        quot[i - dq] = f
-        for j in range(dq + 1):
-            rem[i - dq + j] -= f * q[j]
-    return _trim(quot), _trim(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +208,19 @@ class NumberField:
         """Build an element from polynomial coefficients in x (constant first).
 
         Longer coefficient lists are reduced modulo the field modulus,
-        shorter ones are zero padded.
+        shorter ones are zero padded: a_k x**k is a_k / c**k y**k, and over
+        one denominator y**k = y**(k-n) * (y**n - g(y)) reduces the vector.
         """
-        poly = _trim([Fraction(c) for c in coeffs])
-        if len(poly) > self.degree:
-            _, poly = _pdivmod(poly, self.modulus)
-        in_y = [a / ck for a, ck in zip(poly, self.c_pows)]
+        c = lcm(*(f.denominator for f in self.modulus))
+        in_y = [Fraction(a) / c**k for k, a in enumerate(coeffs)]
         den = lcm(*(a.denominator for a in in_y))
         num = [a.numerator * (den // a.denominator) for a in in_y]
-        return FieldElement(self, num + [0] * (self.degree - len(num)), den)
+        n, g = self.degree, self.g
+        for k in range(len(num) - 1, n - 1, -1):
+            top = num.pop()
+            for j in range(n):
+                num[k - n + j] -= top * g[j]
+        return FieldElement(self, num + [0] * (n - len(num)), den)
 
     def from_rational(self, value) -> "FieldElement":
         q = Fraction(value)
@@ -429,19 +405,13 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
+        """P**e mod g over d**e, brought to lowest terms once at the end; a
+        negative exponent inverts first, and 0**0 == 1."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one  # 0**0 == 1 by convention
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(self.field, _ipower(self.num, exponent, self.field.g), self.den**exponent)
 
     # -- comparison --------------------------------------------------------
 
@@ -484,8 +454,16 @@ def _over(e: FieldElement, scale: int) -> tuple[list[int], int]:
 
 @functools.lru_cache(maxsize=None)
 def _max_order(n: int) -> int:
-    """The largest r with phi(r) <= n; phi(r) >= sqrt(r/2) bounds the search."""
-    phi = list(range(2 * n * n + 1))
+    """The largest r with phi(r) <= n, by a totient sieve below the first R
+    with B(R) > n.  B(r) = r / (e**gamma ln ln r + 3 / ln ln r) increases
+    for r >= 3 and bounds phi(r) from below (Rosser & Schoenfeld, Illinois
+    J. Math. 6 (1962), Thm 15), so no r >= R has phi(r) <= n."""
+
+    def bound(r: int) -> float:
+        u = log(log(r))
+        return r / (1.7810724179901979 * u + 3 / u)  # e**gamma, gamma Euler's constant
+
+    phi = list(range(next(r for r in count(3) if bound(r) > n)))
     for p in range(2, len(phi)):
         if phi[p] == p:  # p is prime: each multiple keeps (p - 1)/p of its count
             phi[p::p] = [f - f // p for f in phi[p::p]]
@@ -741,17 +719,29 @@ QQ = NumberField((0, 1), label="Q", tag=("rational",))
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    # (x^n - 1) divided by the cyclotomic polynomials of all proper divisors
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    poly = _trim(poly)
-    for d in range(1, n):
-        if n % d == 0:
-            quo, rem = _pdivmod(poly, _cyclotomic_poly(d))
-            if rem:
-                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1 exactly")
-            poly = quo
-    return poly
+def _cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first: prod_{e | n} (1 - x**e)**mobius(n/e),
+    negated for n = 1, as a power series truncated at degree n.
+
+    Multiplying or dividing by 1 - x**e is one pass over n + 1 integers,
+    in any order of the factors.  A result that is not monic of degree
+    phi(n) = sum mobius(s) * n/s raises ``ArithmeticError``.
+    """
+    factors = [(n, 1)]  # (n/s, mobius(s)) for each squarefree divisor s of n
+    for p in set(_prime_factors(n)):
+        factors += [(e // p, -m) for e, m in factors]
+    phi = sum(e * m for e, m in factors)  # the degree of the product
+    c = [-1 if n == 1 else 1] + [0] * n  # Phi_1 = -(1 - x)
+    for e, m in factors:
+        if m > 0:  # times 1 - x**e
+            for k in range(n, e - 1, -1):
+                c[k] -= c[k - e]
+        else:  # times 1/(1 - x**e) = 1 + x**e + x**(2e) + ...
+            for k in range(e, n + 1):
+                c[k] += c[k - e]
+    if c[phi] != 1 or any(c[phi + 1 :]):
+        raise ArithmeticError(f"Phi_{n} did not come out monic of degree {phi}")
+    return tuple(c[: phi + 1])
 
 
 def cyclotomic_field(n: int) -> NumberField:
@@ -766,16 +756,20 @@ def zeta(n: int) -> FieldElement:
     return cyclotomic_field(n).generator
 
 
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    p = 2
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing |n|, with multiplicity, by trial division."""
+    n, p, out = abs(n), 2, []
     while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
+        while n % p == 0:
+            out.append(p)
             n //= p
         p += 1
-    return True
+    return out + [n] if n > 1 else out
+
+
+def _is_squarefree(n: int) -> bool:
+    primes = _prime_factors(n)
+    return len(primes) == len(set(primes))
 
 
 def quadratic_field(d: int) -> NumberField:

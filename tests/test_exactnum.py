@@ -1,6 +1,8 @@
+import functools
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -25,8 +27,6 @@ from sylsum.exactnum import (
     _apery_horner,
     _int_from_str,
     _int_str,
-    _pdivmod,
-    _trim,
     pretty_str,
     quadratic_field,
     sqrt_of,
@@ -66,7 +66,7 @@ class TestCyclotomicField:
     def test_modulus_matches_table(self, n, coeffs):
         assert list(cyclotomic_field(n).modulus) == coeffs
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 105, 210, 385])  # Phi_105 has a -2
     def test_product_over_divisors_is_x_n_minus_1(self, n):
         # independent check: prod of the moduli over all divisors of n
         prod = [Fraction(1)]
@@ -75,6 +75,10 @@ class TestCyclotomicField:
                 prod = poly_mul(prod, cyclotomic_field(d).modulus)
         expected = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
         assert prod == expected
+
+    @pytest.mark.parametrize("n", [*range(1, 201), 420, 1155])
+    def test_modulus_matches_fraction_division(self, n):
+        assert cyclotomic_field(n).modulus == ref_cyclotomic_poly(n)
 
     def test_degree_one_cases(self):
         assert cyclotomic_field(1).degree == 1
@@ -260,7 +264,45 @@ def test_coefficients_stay_normalized(a, b):
 # ---------------------------------------------------------------------------
 # The Fraction-polynomial arithmetic that integer vectors replaced: elements
 # as coefficient tuples in x, products reduced by polynomial division,
-# inverses by the extended Euclidean algorithm over Q[x].
+# inverses by the extended Euclidean algorithm over Q[x], and cyclotomic
+# polynomials by division of x^n - 1.
+
+
+def _trim(p):
+    n = len(p)
+    while n > 0 and p[n - 1] == 0:
+        n -= 1
+    return tuple(p[:n])
+
+
+def _pdivmod(p, q):
+    """Polynomial division over Q; q must be nonzero."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        f = c / lead
+        quot[i - dq] = f
+        for j in range(dq + 1):
+            rem[i - dq + j] -= f * q[j]
+    return _trim(quot), _trim(rem)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_cyclotomic_poly(n):
+    """x^n - 1 divided by the cyclotomic polynomials of all proper divisors."""
+    poly = _trim([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _pdivmod(poly, ref_cyclotomic_poly(d))
+            assert not rem
+    return poly
 
 
 def _padd(p, q):
@@ -381,6 +423,9 @@ class TestAgainstFractionPolynomials:
     @example((QQ, [0], [0]), 0)
     @example((cyclotomic_field(8), [0, 0, 0, 0], [1, 0, 0, 0]), -1)
     @example((quadratic_field(5), [1, 1], [Fraction(1, 2), Fraction(1, 2)]), 2)
+    # lam = -sqrt(5)/5 has lam**2 = 1/5: P**e and d**e share most of their factors
+    @example((quadratic_field(5), [0, Fraction(-1, 5)], [1, 0]), 1001)
+    @example((quadratic_field(5), [0, Fraction(-1, 5)], [1, 0]), -7)
     def test_arithmetic_matches_reference(self, case, k):
         field, p, q = case
         a, b = field.element(p), field.element(q)
@@ -417,6 +462,7 @@ class TestAgainstFractionPolynomials:
                 a**k
         else:
             assert (a**k).coeffs == ref_pow(p, k, mod)  # 0**0 == 1
+            assert _in_lowest_terms(a**k)
 
         if a.is_rational():
             r = a.as_rational()
@@ -490,11 +536,28 @@ def max_order_reference(n):
     return max(r for r in range(1, 2 * n * n + 1) if sum(gcd(k, r) == 1 for k in range(r)) <= n)
 
 
+def max_orders_by_sieve(N):
+    """[_max_order(n) for n = 0..N] (0 for n = 0) from one totient sieve of
+    every r <= 2N^2: phi(r) >= sqrt(r/2), so no r > 2n^2 has phi(r) <= n."""
+    phi = list(range(2 * N * N + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:  # p is prime: each multiple keeps (p - 1)/p of its count
+            phi[p::p] = [f - f // p for f in phi[p::p]]
+    largest = [0] * (N + 1)  # largest[v] = the largest r with phi(r) == v
+    for r, v in enumerate(phi):
+        if 0 < v <= N:
+            largest[v] = r
+    return list(accumulate(largest, max))
+
+
 class TestMaxOrder:
     def test_sieve_matches_gcd_count(self):
         assert [exactnum._max_order(n) for n in range(1, 25)] == [
             max_order_reference(n) for n in range(1, 25)
         ]
+
+    def test_bounded_sieve_matches_the_2n2_sieve(self):
+        assert [exactnum._max_order(n) for n in range(1, 301)] == max_orders_by_sieve(300)[1:]
 
     def test_degree_96(self):
         # phi(420) = 96, and no r > 420 has phi(r) <= 96

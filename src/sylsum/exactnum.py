@@ -17,10 +17,10 @@ here divides Fraction polynomials.  The cyclotomic modulus Phi_n is an
 integer product of factors (1 - x**e)**(+-1), e | n.  On the same integers
 ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for every t
 at once (by residue class when lam is a root of unity, else by a Horner
-walk), and ``eulerian_sum`` the whole general formula (Theorem 1) with one
-division at the end.  Both read a root of unity off one ``order_ladder``
-of its powers, stopped at its order, which the caller can build once and
-pass to each.
+walk), and ``eulerian_sum`` the general formula (Theorem 1): its main sum
+with one division at the end, plus the lambda term as a field product.
+Both read a root of unity off one ``order_ladder`` of its powers, stopped
+at its order, which the caller can build once and pass to each.
 
 Conventions:
   * moduli are monic with degree >= 1, stored constant term first;
@@ -175,7 +175,7 @@ class NumberField:
     ``modulus`` is f with Fraction coefficients.  The field also fixes the
     integral basis its elements are stored in: y = c*x, c the lcm of the
     denominators of f, so that ``g`` = c**n f(y/c) is monic with integer
-    coefficients, and ``c_pows`` = (c**0, ..., c**(n-1)) turns the
+    coefficients, and ``c_pows`` = (c**0, ..., c**n) turns the
     coefficient of y**k back into that of x**k.
 
     ``tag`` records how the field was built (``("cyclotomic", n)`` or
@@ -198,7 +198,7 @@ class NumberField:
         n = len(coeffs) - 1
         c = lcm(*(f.denominator for f in coeffs))
         self.g = tuple(int(f * c ** (n - k)) for k, f in enumerate(coeffs))
-        self.c_pows = tuple(c**k for k in range(n))
+        self.c_pows = tuple(c**k for k in range(n + 1))
 
     @property
     def degree(self) -> int:
@@ -211,7 +211,7 @@ class NumberField:
         shorter ones are zero padded: a_k x**k is a_k / c**k y**k, and over
         one denominator y**k = y**(k-n) * (y**n - g(y)) reduces the vector.
         """
-        c = lcm(*(f.denominator for f in self.modulus))
+        c = self.c_pows[1]
         in_y = [Fraction(a) / c**k for k, a in enumerate(coeffs)]
         den = lcm(*(a.denominator for a in in_y))
         num = [a.numerator * (den // a.denominator) for a in in_y]
@@ -646,23 +646,24 @@ def eulerian_sum(
     where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
     integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the same
     source as ``power_sums``, residue buckets or Horner walk, on lam's
-    ``order_ladder``: ``ladder``, built here when None) with one division at
-    the end:
+    ``order_ladder``: ``ladder``, built here when None), the main sum with one
+    division at the end:
 
       * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
         (homogeneous in U and V);
-      * 1/(L-1) = V*W/N and 1/(lam-1) = d*W1/N1, where W/N = 1/(U-V) and
-        W1/N1 = 1/(P-d) are each over its least integer denominator.  For a
-        lam of order r, both inverses are read off the ladder: x = L (of
-        order r/gcd(a, r)) and x = lam have 1/(x-1) = (1/r') sum_{k<r'} k x**k
-        when sum_{k<r'} x**k == 0, r' the order of x.  Otherwise, and for a
+      * 1/(L-1) = V*W/N, where W/N = 1/(U-V) is over its least integer
+        denominator, and 1/(lam-1) is an element.  For a lam of order r,
+        both inverses are read off the ladder: x = L (of order r/gcd(a, r))
+        and x = lam have 1/(x-1) = (1/r') sum_{k<r'} k x**k when
+        sum_{k<r'} x**k == 0, r' the order of x.  Otherwise, and for a
         lam with no order found, they come from ``FieldElement.inverse``, so
         a zero divisor of a reducible modulus raises ``ZeroDivisor`` with
         the same message either way;
       * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
-        over N**(mu+1) D, by Horner in W; the tail is
-        (-1)**(mu+1) d W1**(mu+1) T / N1**(mu+1), T = sum_j E_mu,j P**j d**(mu-j).
+        over N**(mu+1) D, by Horner in W; the tail is the field product
+        (-1)**(mu+1) A_mu(lam) * (1/(lam-1))**(mu+1), A_mu(lam) = T / d**mu with
+        T = sum_j E_mu,j P**j d**(mu-j).
 
     The exponent list must be nonempty (an Apery set holds 0), and L and lam
     must differ from 1.
@@ -676,7 +677,7 @@ def eulerian_sum(
     ladder = order_ladder(lam) if ladder is None else ladder
     coords = _ladder_coords(ladder, d)
     W, N = _over(_inverse_minus_one(L, a, lam, coords), V)
-    W1, N1 = _over(_inverse_minus_one(lam, 1, lam, coords), d)
+    lam1_inv = _inverse_minus_one(lam, 1, lam, coords)
     H, scale = _apery_sums(lam, exps, mu, coords)
 
     U_pows = _ipowers(U, mu, g)
@@ -688,15 +689,11 @@ def eulerian_sum(
         k = comb(mu, n) * (-a) ** n * N_pow
         acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
         N_pow *= N
-    main = [V * x for x in _apply(W_rows, acc)]  # over N**(mu+1) * D
+    main = FieldElement(field, [V * x for x in _apply(W_rows, acc)], N_pow * scale)
     P_pows = ladder if mu < len(ladder) else _ipowers(P, mu, g)  # P**0..P**mu, or more
-    T = _homogeneous(eulerian_rows[mu], P_pows, d)
-    tail = _apply(_imatrix(_ipower(W1, mu + 1, g), g), T)  # times (-1)**(mu+1) d / N1**(mu+1)
-
-    main_den = N_pow * scale
-    tail_den = N1 ** (mu + 1)
-    k = (-1) ** (mu + 1) * d * main_den
-    return FieldElement(field, [s * tail_den + k * t for s, t in zip(main, tail)], main_den * tail_den)
+    A_mu = FieldElement(field, _homogeneous(eulerian_rows[mu], P_pows, d), d**mu)  # A_mu(lam)
+    tail = A_mu * lam1_inv ** (mu + 1)  # times (-1)**(mu+1)
+    return main + tail if mu % 2 else main - tail
 
 
 def _homogeneous(row: Sequence[int], pows: list[list[int]], v: int) -> list[int]:

@@ -22,9 +22,9 @@ The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
 weighted formulas consume come from exact integers, all t at once (by
 residue class for a root-of-unity weight, else by a Horner pass).  The
 general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
-integer basis, with one division at the end; this module hands it the Apery
-set, L = lambda**a, the Eulerian rows and lambda's order ladder, and never
-sees the integer vectors.  The Bernoulli form needs only the plain Apery
+integer basis; this module hands it the Apery set, L = lambda**a, the
+Eulerian rows and lambda's order ladder, and never sees the integer
+vectors.  The Bernoulli form needs only the plain Apery
 power sums P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over
 one common denominator.  Every route returns its value in the weight's
 field, also when the value is rational.

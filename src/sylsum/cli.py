@@ -17,12 +17,13 @@ Weights are written in a small exact grammar:
   q(5; 0, -1/5)        r0 + r1*sqrt(d)   (here -1/sqrt(5))
   nf([c0,..,cd]; [e0,..,e_{d-1}])   coefficients in Q[x]/(c0+..+cd x^d)
 
-Exit codes: 0 success, 1 ``verify`` disagreement, 2 invalid input,
-3 formula precondition violated, 4 zero divisor met in a user-supplied
-reducible coefficient ring, 5 internal invariant failed (any other
-``ArithmeticError``: an unreachable Apery residue, a failed integrality
-check, a division by zero).  Codes 2-5 print a one-line JSON error record
-on stderr.
+Exit codes: 0 success, 1 ``verify`` disagreement, 2 invalid input (one of
+the input errors ``run_command`` names), 3 formula precondition violated,
+4 zero divisor met in a user-supplied reducible coefficient ring, 5 internal
+invariant failed (any other ``ArithmeticError`` or ``ValueError``: an
+unreachable Apery residue, a failed integrality check, a division by zero,
+a field mismatch).  Codes 2-5 print a one-line JSON error record on
+stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .oracle import cross_validate
 from .semigroup import (
     EmptyGenerators,
     NonPositive,
+    NotAGenerator,
     NotCoprime,
     apery_set,
     frobenius_number,
@@ -62,6 +64,7 @@ from .sums import (
     ConditionNotMet,
     Formula,
     InvalidWeight,
+    NegativeMu,
     PreconditionViolated,
     SumRequest,
     SumResult,
@@ -342,9 +345,6 @@ def run_command(argv: list[str]) -> int:
     except ZeroDivisor as exc:
         print(_error_record(exc), file=sys.stderr)
         return 4
-    except ArithmeticError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return 5
     except (
         ParseError,
         InvalidWeight,
@@ -352,10 +352,14 @@ def run_command(argv: list[str]) -> int:
         NotCoprime,
         NonPositive,
         EmptyGenerators,
-        ValueError,
+        NegativeMu,
+        NotAGenerator,
     ) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2
+    except (ArithmeticError, ValueError) as exc:
+        print(_error_record(exc), file=sys.stderr)
+        return 5
 
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     full = {"command": args.command}

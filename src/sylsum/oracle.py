@@ -14,10 +14,8 @@ the Dijkstra reference in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import FieldElement, Scalar, to_element
-from .semigroup import GeneratorSet, gap_set, sylvester_number
+from .semigroup import GeneratorSet, Record, gap_set, sylvester_number
 from .sums import Formula, SumRequest, dispatch_sum
 
 
@@ -34,14 +32,26 @@ def brute_force_weighted_sum(A: GeneratorSet, mu: int, lam: Scalar) -> FieldElem
     return total
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    request: SumRequest
-    formula_value: FieldElement
-    oracle_value: FieldElement
-    agrees: bool
-    formula_used: Formula
-    gap_count: int
+class VerificationReport(Record):
+    """The dispatcher's and the oracle's value of one request, compared."""
+
+    __slots__ = ("request", "formula_value", "oracle_value", "agrees", "formula_used", "gap_count")
+
+    def __init__(
+        self,
+        request: SumRequest,
+        formula_value: FieldElement,
+        oracle_value: FieldElement,
+        agrees: bool,
+        formula_used: Formula,
+        gap_count: int,
+    ):
+        object.__setattr__(self, "request", request)
+        object.__setattr__(self, "formula_value", formula_value)
+        object.__setattr__(self, "oracle_value", oracle_value)
+        object.__setattr__(self, "agrees", agrees)
+        object.__setattr__(self, "formula_used", formula_used)
+        object.__setattr__(self, "gap_count", gap_count)
 
 
 def cross_validate(req: SumRequest) -> VerificationReport:

@@ -10,15 +10,18 @@ exactly reps[i] - a, reps[i] - 2a, ..., down to i's first positive value.
 
 Two independent algorithms are provided on purpose: Apery sets come from the
 round-robin algorithm of Boecker & Liptak, O(k * a) for k generators with no
-heap, while ``sieve_representable`` is a plain dynamic-programming
-reachability table.  Tests play them against each other, and against the
-heap Dijkstra (Nijenhuis 1979) that round-robin replaced, which the tests
-keep as a reference.
+heap, while ``sieve_representable`` is a reachability table, one big-integer
+bitset closed under adding each generator.  Tests play them against each
+other, and against the heap Dijkstra (Nijenhuis 1979) that round-robin
+replaced, which the tests keep as a reference.
+
+The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
+``sums`` and ``oracle`` are immutable records on the small base
+:class:`Record`, each with its own ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -38,11 +41,60 @@ class NotCoprime(ValueError):
     """The generators have a common factor > 1."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class NotAGenerator(ValueError):
+    """A requested pivot is not one of the generators."""
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields once, in ``__slots__``, and sets them in its
+    own ``__init__`` with ``object.__setattr__``.  A record equals only a
+    record of the same class with equal fields, hashes as the tuple of its
+    fields, prints as ``Name(field=value, ...)``, and refuses assignment
+    and deletion with ``AttributeError``.  ``copy``, ``deepcopy`` and
+    ``pickle`` restore the fields through ``__setstate__`` without calling
+    ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class GeneratorSet(Record):
     """Strictly increasing, deduplicated, coprime positive generators."""
 
-    gens: tuple[int, ...]
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: tuple[int, ...]):
+        object.__setattr__(self, "gens", gens)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.gens)
@@ -73,8 +125,7 @@ def validate_generators(raw: Iterable[int]) -> GeneratorSet:
     return GeneratorSet(tuple(gens))
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(Record):
     """Minimal semigroup representatives per residue class mod the pivot.
 
     ``reps[i]`` is the least semigroup element congruent to i mod pivot;
@@ -82,8 +133,11 @@ class AperySet:
     of gaps in residue class i.
     """
 
-    pivot: int
-    reps: tuple[int, ...]
+    __slots__ = ("pivot", "reps")
+
+    def __init__(self, pivot: int, reps: tuple[int, ...]):
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "reps", reps)
 
     @property
     def gap_counts(self) -> tuple[int, ...]:
@@ -91,9 +145,9 @@ class AperySet:
 
 
 def check_pivot(A: GeneratorSet, pivot: int) -> None:
-    """Raise ``ValueError`` unless ``pivot`` is one of the generators."""
+    """Raise ``NotAGenerator`` unless ``pivot`` is one of the generators."""
     if pivot not in A:
-        raise ValueError(f"pivot {pivot} is not a generator of {A.gens}")
+        raise NotAGenerator(f"pivot {pivot} is not a generator of {A.gens}")
 
 
 def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
@@ -151,11 +205,13 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     return AperySet(pivot, tuple(n))
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(Record):
     """The finite, sorted set of positive integers outside the semigroup."""
 
-    gaps: tuple[int, ...]
+    __slots__ = ("gaps",)
+
+    def __init__(self, gaps: tuple[int, ...]):
+        object.__setattr__(self, "gaps", gaps)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.gaps)
@@ -185,15 +241,22 @@ def gap_set(A: GeneratorSet) -> GapSet:
 def sieve_representable(A: GeneratorSet, bound: int) -> list[bool]:
     """Reachability table t[0..bound]: t[n] iff n is a semigroup element.
 
-    Independent of :func:`apery_set`; used as its cross-check oracle.
+    Independent of :func:`apery_set`; used as its cross-check oracle.  Bit n
+    of the integer ``s`` is t[n].  Starting from {0}, each generator a is
+    added by doubling shifts: after shifting by a, 2a, ..., 2**j * a, the
+    set is closed under adding up to 2**(j+1) - 1 copies of a, which covers
+    every multiple of a up to ``bound`` once 2**(j+1) * a > bound.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    table = [False] * (bound + 1)
-    table[0] = True
-    for n in range(1, bound + 1):
-        table[n] = any(n >= a and table[n - a] for a in A)
-    return table
+    mask = (1 << (bound + 1)) - 1
+    s = 1
+    for a in A:
+        shift = a
+        while shift <= bound:
+            s |= (s << shift) & mask
+            shift <<= 1
+    return [bit == "1" for bit in reversed(f"{s:0{bound + 1}b}")]
 
 
 def frobenius_number(A: GeneratorSet, pivot: int | None = None) -> int | None:

@@ -43,7 +43,6 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
@@ -64,6 +63,7 @@ from .semigroup import (
     GeneratorSet,
     NonPositive,
     NotCoprime,
+    Record,
     apery_set,
     check_pivot,
     validate_generators,
@@ -72,6 +72,10 @@ from .semigroup import (
 
 class InvalidWeight(ValueError):
     """The weight is zero (or otherwise not a usable scalar)."""
+
+
+class NegativeMu(ValueError):
+    """The exponent mu is negative."""
 
 
 class PreconditionViolated(ValueError):
@@ -96,29 +100,31 @@ class Formula(str, Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class SumRequest:
+class SumRequest(Record):
     """A fully specified sum: generators, exponent mu, nonzero weight."""
 
-    A: GeneratorSet
-    mu: int
-    lam: FieldElement
+    __slots__ = ("A", "mu", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", to_element(self.lam))
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.lam.is_zero():
+    def __init__(self, A: GeneratorSet, mu: int, lam: Scalar):
+        lam = to_element(lam)
+        if mu < 0:
+            raise NegativeMu("mu must be nonnegative")
+        if lam.is_zero():
             raise InvalidWeight("weight must be nonzero")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(Record):
     """Exact value plus provenance: which formula ran, and on which pivot."""
 
-    value: FieldElement
-    formula_used: Formula
-    pivot_used: int | None = None
+    __slots__ = ("value", "formula_used", "pivot_used")
+
+    def __init__(self, value: FieldElement, formula_used: Formula, pivot_used: int | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "formula_used", formula_used)
+        object.__setattr__(self, "pivot_used", pivot_used)
 
 
 # A sorted generator set, or generators in the order a closed form reads them.
@@ -292,8 +298,7 @@ def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, _: None, power: _Powers
 # the route table
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(Record):
     """One formula's domain and body.
 
     ``mu`` and ``weight`` are the fixed exponent and weight the formula
@@ -307,12 +312,23 @@ class _Route:
     in them).
     """
 
-    body: Callable[..., FieldElement]
-    mu: int | None = None
-    units: tuple[bool, ...] | None = None
-    weight: int | None = None
-    pivot: Callable[[FieldElement, FieldElement | int], bool] | None = None
-    pivot_rule: str = ""
+    __slots__ = ("body", "mu", "units", "weight", "pivot", "pivot_rule")
+
+    def __init__(
+        self,
+        body: Callable[..., FieldElement],
+        mu: int | None = None,
+        units: tuple[bool, ...] | None = None,
+        weight: int | None = None,
+        pivot: Callable[[FieldElement, FieldElement | int], bool] | None = None,
+        pivot_rule: str = "",
+    ):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "pivot_rule", pivot_rule)
 
 
 def _non_unit_power(lam: FieldElement, L: FieldElement | int) -> bool:
@@ -395,7 +411,7 @@ def evaluate(
     if lam.is_zero():
         raise PreconditionViolated("weight must be nonzero")
     if mu < 0:
-        raise ValueError("mu must be nonnegative")
+        raise NegativeMu("mu must be nonnegative")
     if pivot is not None:
         check_pivot(A, pivot)
     power = _Powers(lam)
@@ -505,31 +521,27 @@ def closed_two_var_degenerate(a: int, b: int, lam: Scalar) -> SumResult:
     return evaluate(Formula.TWO_VAR_DEGENERATE, _in_order(a, b), 1, lam)
 
 
-@dataclass(frozen=True)
-class ThreeVarContext:
+class ThreeVarContext(Record):
     """Three generators a, b, c with gcd(a,b,c) = 1 and a | lcm(b,c).
 
     Under those conditions gcd(a,b) * gcd(a,c) = a, and the Apery set of a
     is the grid {bx + cy} with 0 <= x < gcd(a,c) and 0 <= y < gcd(a,b),
-    which is what makes a fully closed form possible.
+    which is what makes a fully closed form possible.  The gcd_* and lcm_*
+    fields are derived from a, b and c and cannot be passed.
     """
 
-    a: int
-    b: int
-    c: int
-    gcd_ab: int = field(init=False)
-    gcd_ac: int = field(init=False)
-    lcm_ab: int = field(init=False)
-    lcm_ac: int = field(init=False)
+    __slots__ = ("a", "b", "c", "gcd_ab", "gcd_ac", "lcm_ab", "lcm_ac")
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: int, b: int, c: int):
         if min(a, b, c) < 1:
             raise NonPositive("generators must be positive")
         if gcd(a, b, c) != 1:
             raise NotCoprime(f"gcd({a},{b},{c}) != 1")
         if lcm(b, c) % a != 0:
             raise ConditionNotMet(f"{a} does not divide lcm({b},{c}) = {lcm(b, c)}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "gcd_ab", gcd(a, b))
         object.__setattr__(self, "gcd_ac", gcd(a, c))
         object.__setattr__(self, "lcm_ab", lcm(a, b))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sylsum
 from sylsum import cli, sums
 from sylsum.cli import ParseError, parse_element, parse_lambda, run_command
 from sylsum.exactnum import (
@@ -225,6 +230,26 @@ class TestCliContract:
         assert out == ""
         assert json.loads(err)["error"] == "ArithmeticError"
 
+    def test_internal_value_error_exit_5(self, capsys, monkeypatch):
+        # a negative Apery element reaches the power-sum kernel, whose
+        # "exponents must be nonnegative" is an internal error, not bad input
+        monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, -4, 8)))
+        code, out, err = run(capsys, "sum", "--gens", "3,8", "--mu", "1", "--lambda", "2")
+        assert (code, out) == (5, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "exponents must be nonnegative"}
+
+    @pytest.mark.parametrize("command", ["sum", "verify"])
+    def test_negative_mu_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--gens", "3,8", "--mu", "-1", "--lambda", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NegativeMu", "message": "mu must be nonnegative"}
+
+    def test_pivot_not_a_generator_exit_2(self, capsys):
+        code, out, err = run(capsys, "apery", "--gens", "5,7", "--pivot", "9")
+        assert (code, out) == (2, "")
+        message = "pivot 9 is not a generator of (5, 7)"
+        assert json.loads(err) == {"error": "NotAGenerator", "message": message}
+
     @pytest.mark.parametrize("gens", ["3,11,17", "1,6"])
     @pytest.mark.parametrize("mu", ["0", "1", "3"])
     def test_unit_weight_result_stays_in_weight_field(self, capsys, gens, mu):
@@ -395,7 +420,7 @@ class TestForceFormula:
             "--force-formula", "oracle",
         )
         assert code == 2
-        assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err)["error"] == "NegativeMu"
 
     @pytest.mark.parametrize(
         "name, gens, mu, lam",
@@ -501,3 +526,39 @@ def test_verify_exit_zero_iff_agrees(capsys):
     code, out, _ = run(capsys, "verify", "--gens", "5,17,19,23", "--mu", "2", "--lambda", "-1")
     assert code == 0
     assert out.splitlines()[0] == "true"
+
+
+SRC = Path(sylsum.__file__).resolve().parent.parent
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports ``sylsum`` from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoint:
+    """``python -m sylsum`` in a fresh process: ``__main__`` and cold start."""
+
+    def test_genus_json(self):
+        proc = _python("-m", "sylsum", "genus", "--gens", "5,7", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"] == 12
+
+    def test_invalid_input_exit_2(self):
+        proc = _python(
+            "-m", "sylsum", "sum", "--gens", "4,6", "--mu", "1", "--lambda=2", "--format", "json"
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "NotCoprime"
+
+    def test_import_loads_no_dataclasses(self):
+        # the CLI's imports add neither module to what a bare interpreter has
+        probe = "import sys{}; print(*sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        bare = _python("-c", probe.format(""))
+        cli = _python("-c", probe.format(", sylsum.cli"))
+        assert cli.returncode == 0, cli.stderr
+        assert set(cli.stdout.split()) <= set(bare.stdout.split())

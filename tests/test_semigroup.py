@@ -43,6 +43,16 @@ def apery_set_dijkstra_reference(A, pivot):
     return tuple(dist)
 
 
+def sieve_representable_reference(A, bound):
+    """The O(k * bound) dynamic-programming table that the bitset sieve
+    replaced: t[n] iff t[n - a] for some generator a <= n."""
+    table = [False] * (bound + 1)
+    table[0] = True
+    for n in range(1, bound + 1):
+        table[n] = any(n >= a and table[n - a] for a in A)
+    return table
+
+
 def random_generator_sets(count, seed, k_max=4, bound=40):
     rng = random.Random(seed)
     out = []
@@ -189,6 +199,24 @@ class TestSieve:
 
     def test_unit_generator(self):
         assert all(sieve_representable(validate_generators([1, 7]), 5))
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_raises(self, bound):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            sieve_representable(validate_generators([3, 8]), bound)
+
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True)
+        .filter(lambda gens: gcd(*gens) == 1)
+        .map(validate_generators),
+        st.integers(1, 150),
+    )
+    @example(validate_generators([1]), 1)
+    @example(validate_generators([7, 9]), 6)  # below the smallest generator
+    @example(validate_generators([7, 9]), 7)
+    @example(validate_generators([6, 10, 15, 37, 40]), 149)
+    def test_matches_the_dynamic_programming_reference(self, A, bound):
+        assert sieve_representable(A, bound) == sieve_representable_reference(A, bound)
 
 
 class TestGapStatistics:

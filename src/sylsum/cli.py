@@ -23,13 +23,15 @@ the input errors ``run_command`` names), 3 formula precondition violated,
 invariant failed (any other ``ArithmeticError`` or ``ValueError``: an
 unreachable Apery residue, a failed integrality check, a division by zero,
 a field mismatch).  Codes 2-5 print a one-line JSON error record on
-stderr.
+stderr.  141 (128 + SIGPIPE): the reader closed stdout before the output
+was written, e.g. ``sylsum gaps ... | head``; nothing more is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -375,7 +377,16 @@ def run_command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run_command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

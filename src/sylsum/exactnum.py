@@ -18,7 +18,9 @@ integer product of factors (1 - x**e)**(+-1), e | n.  On the same integers
 ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for every t
 at once (by residue class when lam is a root of unity, else by a Horner
 walk), and ``eulerian_sum`` the general formula (Theorem 1): its main sum
-with one division at the end, plus the lambda term as a field product.
+with one division at the end, plus the lambda term as a field product.  In
+a field of degree 1 an element is one int over d, so the walk and the main
+sum run on plain ints, with no matrices.
 Both read a root of unity off one ``order_ladder`` of its powers, stopped
 at its order, which the caller can build once and pass to each.
 
@@ -82,7 +84,10 @@ def _apply(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
 
 
 def _ipower(p: Sequence[int], e: int, g: Sequence[int]) -> list[int]:
-    """p**e mod g by squaring."""
+    """p**e mod g by squaring (in degree 1, where nothing reduces, one int
+    power)."""
+    if len(g) == 2:
+        return [p[0] ** e]
     result = [1] + [0] * (len(g) - 2)
     while e:
         rows = _imatrix(p, g)
@@ -250,6 +255,12 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({self.label})"
 
+    def __getstate__(self):
+        return self.modulus, self.label, self.tag
+
+    def __setstate__(self, state):
+        self.__init__(*state)
+
 
 class FieldElement:
     """An element of a :class:`NumberField`, immutable after construction.
@@ -260,6 +271,7 @@ class FieldElement:
     element to lowest terms, gcd(den, *num) == 1, so two elements of one
     field are equal exactly when their ``num`` and ``den`` are.  ``coeffs``
     reads the value back as Fraction coefficients in x, constant term first.
+    Pickling keeps ``field``, ``num`` and ``den`` only, at every protocol.
 
     Supports +, -, *, /, ** and exact equality.  Integers and Fractions
     coerce to constants of the same field, so formula code can mix scalars
@@ -281,6 +293,13 @@ class FieldElement:
         self.field = field
         self.num = tuple(num) if t == 1 else tuple(a // t for a in num)
         self.den = den // t
+        self._coeffs = None
+
+    def __getstate__(self):
+        return self.field, self.num, self.den  # not the coeffs cache
+
+    def __setstate__(self, state):
+        self.field, self.num, self.den = state
         self._coeffs = None
 
     @property
@@ -564,12 +583,28 @@ def _apery_horner(lam: FieldElement, exps: list[int], mu: int) -> tuple[list[lis
     and D the product of the step denominators.  From the largest exponent
     down, H_t <- P**gap * H_t (mod g) + m**t * D, in coordinate-major H
     (H[i][t]): a step is one C-level pass per nonzero step-matrix entry.
+    In a field of degree 1, P = (p,) and d are coprime ints, so every step
+    p**gap / d**gap is in lowest terms, D = d**max(exps), and the walk
+    runs on a list of mu + 1 ints.
     """
     g, P, d = lam.field.g, lam.num, lam.den
     ends = exps[1:] + [0]
+    gaps = sorted({m - n for m, n in zip(exps, ends)} - {0})
+    if len(P) == 1:
+        p = P[0]
+        scalar_steps = {gap: (p**gap, d**gap) for gap in gaps}
+        h, scale = [0] * (mu + 1), 1
+        for m, n in zip(exps, ends):
+            terms = accumulate(repeat(m, mu), mul, initial=scale)  # m**t * scale
+            if m == n:
+                h = list(map(add, h, terms))
+            else:
+                q, e = scalar_steps[m - n]
+                h = [(x + y) * q for x, y in zip(h, terms)]
+                scale *= e
+        return [[x] for x in h], scale
     powers = {0: [1] + [0] * (len(P) - 1)}  # P**gap, not reduced
     steps = {}  # gap -> nonzero (j, entry) of each row of the reduced step, its denominator
-    gaps = sorted({m - n for m, n in zip(exps, ends)} - {0})
     for prev, gap in zip([0] + gaps, gaps):
         step = powers.get(gap - prev) or _ipower(P, gap - prev, g)
         Q = powers[gap] = _apply(_imatrix(powers[prev], g), step)
@@ -661,7 +696,8 @@ def eulerian_sum(
         a zero divisor of a reducible modulus raises ``ZeroDivisor`` with
         the same message either way;
       * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
-        over N**(mu+1) D, by Horner in W; the tail is the field product
+        over N**(mu+1) D, by Horner in W (on ints in a field of degree 1,
+        where U, W and each H_t hold one int); the tail is the field product
         (-1)**(mu+1) A_mu(lam) * (1/(lam-1))**(mu+1), A_mu(lam) = T / d**mu with
         T = sum_j E_mu,j P**j d**(mu-j).
 
@@ -680,16 +716,25 @@ def eulerian_sum(
     lam1_inv = _inverse_minus_one(lam, 1, lam, coords)
     H, scale = _apery_sums(lam, exps, mu, coords)
 
-    U_pows = _ipowers(U, mu, g)
-    W_rows = _imatrix(W, g)
-    acc = [0] * len(P)
     N_pow = 1  # N**(mu-n)
-    for n in range(mu, -1, -1):
-        X = _apply(_imatrix(_homogeneous(eulerian_rows[n], U_pows, V), g), H[mu - n])
-        k = comb(mu, n) * (-a) ** n * N_pow
-        acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
-        N_pow *= N
-    main = FieldElement(field, [V * x for x in _apply(W_rows, acc)], N_pow * scale)
+    if len(P) == 1:  # degree 1: U, W and each H[t] hold one int
+        u, w = U[0], W[0]
+        acc = 0
+        for n in range(mu, -1, -1):
+            N_n = sum(e * u**j * V ** (n - j) for j, e in enumerate(eulerian_rows[n]))
+            acc = acc * w + comb(mu, n) * (-a) ** n * N_pow * N_n * H[mu - n][0]
+            N_pow *= N
+        main = FieldElement(field, [V * w * acc], N_pow * scale)
+    else:
+        U_pows = _ipowers(U, mu, g)
+        W_rows = _imatrix(W, g)
+        acc = [0] * len(P)
+        for n in range(mu, -1, -1):
+            X = _apply(_imatrix(_homogeneous(eulerian_rows[n], U_pows, V), g), H[mu - n])
+            k = comb(mu, n) * (-a) ** n * N_pow
+            acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
+            N_pow *= N
+        main = FieldElement(field, [V * x for x in _apply(W_rows, acc)], N_pow * scale)
     P_pows = ladder if mu < len(ladder) else _ipowers(P, mu, g)  # P**0..P**mu, or more
     A_mu = FieldElement(field, _homogeneous(eulerian_rows[mu], P_pows, d), d**mu)  # A_mu(lam)
     tail = A_mu * lam1_inv ** (mu + 1)  # times (-1)**(mu+1)

@@ -555,6 +555,19 @@ class TestEntryPoint:
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "NotCoprime"
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the reader stops after a few bytes of about 480 kB, as `| head -c 10` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sylsum", "gaps", "--gens", "400,401", "--format", "text"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b"1,2,3,4,5,"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (141, b"")
+
     def test_import_loads_no_dataclasses(self):
         # the CLI's imports add neither module to what a bare interpreter has
         probe = "import sys{}; print(*sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"

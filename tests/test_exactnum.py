@@ -1,4 +1,5 @@
 import functools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -35,6 +36,7 @@ from sylsum.exactnum import (
 )
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import apery_set, validate_generators
+from sylsum.sums import SumRequest, dispatch_sum
 
 # classic cyclotomic polynomial coefficients, constant term first
 CYCLOTOMIC_TABLE = {
@@ -486,6 +488,16 @@ class TestHornerSteps:
                 want = tuple(w + m**t * c for w, c in zip(want, term))
             assert FieldElement(lam.field, h, scale).coeffs == want
 
+    def test_degree_one_steps_in_lowest_terms(self):
+        # p = -3 and d = 2 are coprime, so every step -27/8 stays in lowest
+        # terms and the scale is d**max(exps)
+        lam = to_element(Fraction(-3, 2))
+        exps = list(range(40, -1, -3))
+        H, scale = _apery_horner(lam, exps, 2)
+        assert scale == 2**40
+        want = [sum(m**t * Fraction(-3, 2) ** m for m in exps) for t in range(3)]
+        assert [Fraction(h, scale) for (h,) in H] == want
+
 
 class TestMatrixReuse:
     """Each fixed multiplier's matrix is built once and applied many times."""
@@ -562,6 +574,35 @@ class TestMaxOrder:
     def test_degree_96(self):
         # phi(420) = 96, and no r > 420 has phi(r) <= 96
         assert exactnum._max_order(96) == 420
+
+
+PICKLED = [
+    QQ.from_rational(Fraction(-3, 2)),
+    zeta(5) ** 2 - Fraction(1, 3),
+    quadratic_field(5).element([Fraction(1, 2), Fraction(-3, 2)]),
+    NumberField([Fraction(1, 2), Fraction(-1, 3), 0, 1]).element([1, Fraction(2, 3), 5]),
+]
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("elem", PICKLED)
+    def test_element_and_field_roundtrip(self, elem, protocol):
+        elem.coeffs  # fill the cache, which is not pickled
+        for obj in (elem, elem.field):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert (back, hash(back)) == (obj, hash(obj))
+        back = pickle.loads(pickle.dumps(elem, protocol))
+        assert back._coeffs is None and back.coeffs == elem.coeffs
+        assert (back.field.label, back.field.tag, back.field.g) == (
+            elem.field.label, elem.field.tag, elem.field.g
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_sum_result_roundtrip(self, protocol):
+        result = dispatch_sum(SumRequest(validate_generators([3, 5]), 1, zeta(5)))
+        back = pickle.loads(pickle.dumps(result, protocol))
+        assert (back, hash(back)) == (result, hash(result))
 
 
 class TestSerialization:

@@ -133,6 +133,8 @@ def _elements(modulus):
 
 
 NON_INTEGRAL = NumberField([Fraction(1, 2), Fraction(-1, 3), 0, 1])
+# degree 1 with a modulus other than x: c = 2, g = (-3, 1), and x == 3/2
+LINEAR = NumberField([Fraction(-3, 2), 1])
 
 weights = st.one_of(
     st.integers(-9, 9).filter(bool).map(to_element),  # d = 1
@@ -146,6 +148,7 @@ weights = st.one_of(
     ),
     _elements([-2, 0, 0, 1]),  # cubic
     _elements(NON_INTEGRAL.modulus),  # monic modulus with non-integer coefficients
+    nonzero_fractions.map(LINEAR.from_rational),
 )
 exponent_lists = st.lists(st.integers(0, 40), max_size=12)
 
@@ -254,6 +257,7 @@ INFINITE_ORDER_WEIGHTS = st.sampled_from(
         quadratic_field(2).element([1, 1]),
         quadratic_field(5).element([Fraction(1, 2), Fraction(1, 2)]),
         NumberField([-2, 0, 0, 1]).generator,
+        LINEAR.generator,  # 3/2 as y/2, y == 3
     ]
 )
 
@@ -285,7 +289,8 @@ class TestPowerSumProviders:
         assert len(walks) == (0 if finite or not reps else 1)
 
     def test_walk_builds_gap_powers_from_smaller_gaps(self):
-        lam = to_element(Fraction(-3, 2))
+        # degree 2: a degree-1 weight walks on ints and forms no vector powers
+        lam = quadratic_field(2).element([1, 1])
         exps = sorted(apery_set(validate_generators([1000, 1001, 1007, 2003])).reps, reverse=True)
         gaps = {m - n for m, n in zip(exps, exps[1:] + [0])} - {0}
         calls = []

@@ -150,8 +150,11 @@ def _parse_gens(text: str) -> list[int]:
 
 def _value_obj(value: FieldElement) -> dict:
     obj = element_to_obj(value)
-    obj["text"] = canonical_str(value)
-    obj["pretty"] = pretty_str(value)
+    if value.field == QQ:  # all three views are the one "p/q" string
+        obj["text"] = obj["pretty"] = obj["coeffs"][0]
+    else:
+        obj["text"] = canonical_str(value)
+        obj["pretty"] = pretty_str(value)
     return obj
 
 

@@ -18,9 +18,11 @@ integer product of factors (1 - x**e)**(+-1), e | n.  On the same integers
 ``power_sums`` evaluates sum_m m**t * lam**m over an Apery set for every t
 at once (by residue class when lam is a root of unity, else by a Horner
 walk), and ``eulerian_sum`` the general formula (Theorem 1): its main sum
-with one division at the end, plus the lambda term as a field product.  In
-a field of degree 1 an element is one int over d, so the walk and the main
-sum run on plain ints, with no matrices.
+and its lambda term (a field product) over one common denominator, reduced
+once.  In a field of degree 1 an element is one int over d, so the walk
+and the main sum run on plain ints, with no matrices, and that one
+reduction is an exact division by known factors (the value times d**f is
+an integer, f the Frobenius number), with no gcd of two long integers.
 Both read a root of unity off one ``order_ladder`` of its powers, stopped
 at its order, which the caller can build once and pass to each.
 
@@ -340,6 +342,8 @@ class FieldElement:
                     f"cannot combine elements of {self.field.label} and {other.field.label}"
                 )
             return other
+        if type(other) is int:  # not a bool, which takes the Fraction path
+            return _reduced(self.field, (other,) + (0,) * (len(self.num) - 1), 1)
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
@@ -393,6 +397,9 @@ class FieldElement:
         if self.is_zero():
             raise DivideByZero(f"zero has no inverse in {self.field.label}")
         n = self.field.degree
+        if n == 1:  # den / p, already in lowest terms
+            p = self.num[0]
+            return _reduced(self.field, (self.den if p > 0 else -self.den,), abs(p))
         rows = [[*row, int(i == 0)] for i, row in enumerate(_imatrix(self.num, self.field.g))]
         prev = 1
         for k in range(n):
@@ -459,6 +466,14 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{pretty_str(self)} in {self.field.label}>"
+
+
+def _reduced(field: NumberField, num: Sequence[int], den: int) -> FieldElement:
+    """The element num / den, which the caller has brought to lowest terms
+    with den > 0: stored as given, with no gcd."""
+    e = object.__new__(FieldElement)
+    e.field, e.num, e.den, e._coeffs = field, tuple(num), den, None
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +696,8 @@ def eulerian_sum(
     where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
     integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the same
     source as ``power_sums``, residue buckets or Horner walk, on lam's
-    ``order_ladder``: ``ladder``, built here when None), the main sum with one
-    division at the end:
+    ``order_ladder``: ``ladder``, built here when None), with the main sum
+    and the lambda term over one common denominator, reduced once:
 
       * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
@@ -696,13 +711,24 @@ def eulerian_sum(
         a zero divisor of a reducible modulus raises ``ZeroDivisor`` with
         the same message either way;
       * the main sum is sum_n C(mu,n) (-a)**n V W**(n+1) N**(mu-n) N_n H_{mu-n}
-        over N**(mu+1) D, by Horner in W (on ints in a field of degree 1,
-        where U, W and each H_t hold one int); the tail is the field product
+        over N**(mu+1) D, by Horner in W, and stays unreduced (in a field
+        of degree 1, where U, W and each H_t hold one int, it runs on ints,
+        and each N_n is one Horner pass in U); the tail is the field product
         (-1)**(mu+1) A_mu(lam) * (1/(lam-1))**(mu+1), A_mu(lam) = T / d**mu with
-        T = sum_j E_mu,j P**j d**(mu-j).
+        T = sum_j E_mu,j P**j d**(mu-j), whose numbers are small;
+      * the two are cross-multiplied over N**(mu+1) D * tail.den.  In degree
+        2 and up one normalising ``FieldElement`` reduces the result.  In
+        degree 1, lam = p/d and D = d**max(exps); every gap is at most the
+        Frobenius number f = max(exps) - a, so the value times d**f is an
+        integer X, and one exact division by N**(mu+1) * tail.den * d**a
+        gives it.  A nonzero remainder raises ``ArithmeticError``: Theorem
+        1's identity fails.  X / d**f is then brought to lowest terms by
+        gcds of numbers no larger than d, with no gcd of two long integers.
 
-    The exponent list must be nonempty (an Apery set holds 0), and L and lam
-    must differ from 1.
+    ``exponents`` must be the Apery set of a (nonempty, as it holds 0): in
+    a field of degree 1 another list raises ``ArithmeticError`` unless the
+    formula's value happens to be an integer over d**f.  L and lam must
+    differ from 1.
     """
     exps = _sorted_exponents(exponents, mu)
     if not exps:
@@ -716,29 +742,46 @@ def eulerian_sum(
     lam1_inv = _inverse_minus_one(lam, 1, lam, coords)
     H, scale = _apery_sums(lam, exps, mu, coords)
 
+    W_rows = _imatrix(W, g)
+    acc = [0] * len(P)
     N_pow = 1  # N**(mu-n)
-    if len(P) == 1:  # degree 1: U, W and each H[t] hold one int
+    if len(P) == 1:  # degree 1: every vector holds one int
         u, w = U[0], W[0]
-        acc = 0
+        V_pows = list(accumulate(repeat(V, mu), mul, initial=1))
         for n in range(mu, -1, -1):
-            N_n = sum(e * u**j * V ** (n - j) for j, e in enumerate(eulerian_rows[n]))
-            acc = acc * w + comb(mu, n) * (-a) ** n * N_pow * N_n * H[mu - n][0]
+            N_n = 0  # by Horner in u, from j = n down
+            for e, v in zip(reversed(eulerian_rows[n]), V_pows):
+                N_n = N_n * u + e * v
+            acc = [acc[0] * w + comb(mu, n) * (-a) ** n * N_pow * N_n * H[mu - n][0]]
             N_pow *= N
-        main = FieldElement(field, [V * w * acc], N_pow * scale)
     else:
         U_pows = _ipowers(U, mu, g)
-        W_rows = _imatrix(W, g)
-        acc = [0] * len(P)
         for n in range(mu, -1, -1):
             X = _apply(_imatrix(_homogeneous(eulerian_rows[n], U_pows, V), g), H[mu - n])
             k = comb(mu, n) * (-a) ** n * N_pow
             acc = [s + k * x for s, x in zip(_apply(W_rows, acc), X)]
             N_pow *= N
-        main = FieldElement(field, [V * x for x in _apply(W_rows, acc)], N_pow * scale)
     P_pows = ladder if mu < len(ladder) else _ipowers(P, mu, g)  # P**0..P**mu, or more
     A_mu = FieldElement(field, _homogeneous(eulerian_rows[mu], P_pows, d), d**mu)  # A_mu(lam)
     tail = A_mu * lam1_inv ** (mu + 1)  # times (-1)**(mu+1)
-    return main + tail if mu % 2 else main - tail
+    # main + (-1)**(mu+1) tail over one denominator, N**(mu+1) * D * tail.den
+    sign = 1 if mu % 2 else -1
+    main_den = N_pow * scale
+    num = [V * x * tail.den + sign * t * main_den for x, t in zip(_apply(W_rows, acc), tail.num)]
+    if len(P) > 1:
+        return FieldElement(field, num, main_den * tail.den)
+    # Degree 1: every gap is at most the Frobenius number f = max(exps) - a,
+    # so the value times d**f is an integer X, and D = d**max(exps) (d == 1
+    # when the buckets ran, for lam == -1).
+    den = d ** max(exps[0] - a, 0)
+    X, rem = divmod(num[0], N_pow * tail.den * (scale // den))
+    if rem:
+        raise ArithmeticError(f"Theorem 1's value times d**{exps[0] - a} is not an integer")
+    # every prime of den divides d, so gcd(d, den, X) == 1 is lowest terms
+    while X and (k := gcd(d, den, X % d)) > 1:
+        X //= k
+        den //= k
+    return _reduced(field, (X,), den if X else 1)
 
 
 def _homogeneous(row: Sequence[int], pows: list[list[int]], v: int) -> list[int]:

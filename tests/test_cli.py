@@ -10,15 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sylsum
-from sylsum import cli, sums
+from sylsum import cli, exactnum, sums
 from sylsum.cli import ParseError, parse_element, parse_lambda, run_command
 from sylsum.exactnum import (
+    QQ,
     FieldElement,
     NumberField,
     _int_from_str,
     canonical_str,
     cyclotomic_field,
     element_from_obj,
+    element_to_obj,
+    pretty_str,
     quadratic_field,
     to_element,
     zeta,
@@ -43,6 +46,9 @@ weight_elements = st.one_of(
     .map(lambda low: NumberField(low + [1]))
     .flatmap(_elements_of),
 )
+
+
+VIEWS = ["pretty_str", "canonical_str", "element_to_obj"]
 
 
 def run(capsys, *argv):
@@ -230,6 +236,20 @@ class TestCliContract:
         assert out == ""
         assert json.loads(err)["error"] == "ArithmeticError"
 
+    def test_theorem1_identity_failure_exit_5(self, capsys, monkeypatch):
+        # a wrong lambda-term (A_mu off by one) leaves Theorem 1's value
+        # non-integral over d**f, which the exact division reports
+        homogeneous = exactnum._homogeneous
+        monkeypatch.setattr(
+            exactnum, "_homogeneous", lambda *args: [x + 1 for x in homogeneous(*args)]
+        )
+        code, out, err = run(capsys, "sum", "--gens", "5,7", "--mu", "1", "--lambda=-3/2")
+        assert (code, out) == (5, "")
+        assert json.loads(err) == {
+            "error": "ArithmeticError",
+            "message": "Theorem 1's value times d**23 is not an integer",
+        }
+
     def test_internal_value_error_exit_5(self, capsys, monkeypatch):
         # a negative Apery element reaches the power-sum kernel, whose
         # "exponents must be nonnegative" is an internal error, not bad input
@@ -349,16 +369,34 @@ class TestJsonOutput:
         ],
     )
     def test_each_view_rendered_once(self, capsys, monkeypatch, argv, values, fmt):
-        # the text lines read the views _value_obj already rendered
+        # the text lines read the views _value_obj already rendered, and a
+        # value in Q reuses its one coefficient string as text and pretty
+        views = ["element_to_obj"] if argv[-1] == "-3/2" else VIEWS
         calls = []
-        for name in ("pretty_str", "canonical_str", "element_to_obj"):
+        for name in VIEWS:
             render = getattr(cli, name)
             monkeypatch.setattr(
                 cli, name, lambda e, name=name, render=render: calls.append(name) or render(e)
             )
         code, _, err = run(capsys, *argv, "--format", fmt)
         assert code == 0, err
-        assert sorted(calls) == sorted(["pretty_str", "canonical_str", "element_to_obj"] * values)
+        assert sorted(calls) == sorted(views * values)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            QQ.from_rational(Fraction(-(3**10000), 2**15000)),  # 4,772 and 4,516 digits
+            QQ.from_rational(-(7**6000)),
+            QQ.from_rational(Fraction(5, 7)),
+            NumberField([Fraction(-3, 2), 1]).from_rational(Fraction(-(3**10000), 2**15000)),
+        ],
+    )
+    def test_rational_value_views_match_renderers(self, value):
+        # a value in Q renders once; the others still go through each renderer
+        obj = cli._value_obj(value)
+        assert obj == dict(
+            element_to_obj(value), text=canonical_str(value), pretty=pretty_str(value)
+        )
 
     def test_gaps_json(self, capsys):
         _, out, _ = run(capsys, "gaps", "--gens", "6,9,10", "--format", "json")

@@ -1,6 +1,7 @@
 import functools
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -377,8 +378,10 @@ def ref_pow(p, e, modulus):
 
 
 REDUCIBLE = NumberField([-1, 0, 1])  # x^2 - 1 = (x-1)(x+1)
+LINEAR = NumberField([Fraction(-3, 2), 1])  # degree 1, c = 2: x == 3/2, y == 3
 REFERENCE_FIELDS = [
     QQ,
+    LINEAR,
     cyclotomic_field(5),
     cyclotomic_field(7),
     cyclotomic_field(8),
@@ -423,6 +426,9 @@ class TestAgainstFractionPolynomials:
     @given(reference_pairs(), st.integers(-4, 13))
     @example((REDUCIBLE, [-1, 1], [2, 3]), 1)
     @example((QQ, [0], [0]), 0)
+    @example((QQ, [Fraction(5, 7)], [Fraction(-7, 3)]), -2)  # degree 1: inverse is den / p
+    @example((LINEAR, [Fraction(1, 6)], [Fraction(-7, 3)]), -1)
+    @example((LINEAR, [Fraction(-1, 4)], [0]), 3)
     @example((cyclotomic_field(8), [0, 0, 0, 0], [1, 0, 0, 0]), -1)
     @example((quadratic_field(5), [1, 1], [Fraction(1, 2), Fraction(1, 2)]), 2)
     # lam = -sqrt(5)/5 has lam**2 = 1/5: P**e and d**e share most of their factors
@@ -440,13 +446,19 @@ class TestAgainstFractionPolynomials:
         assert (a * b).coeffs == ref_mul(p, q, mod)
         assert field.element(_pmul(_trim(p), _trim(q))) == a * b  # reduces long lists
         assert (a * Fraction(-3, 7)).coeffs == tuple(x * Fraction(-3, 7) for x in p)
+        for k in (0, -5, 7, True):  # an int (not a bool) skips the Fraction path
+            f = Fraction(k)
+            for got, want in ((a + k, a + f), (a - k, a - f), (k - a, f - a), (a * k, a * f)):
+                assert (got.field, got.num, got.den) == (want.field, want.num, want.den)
+                assert all(type(x) is int for x in got.num)
         assert (a == b) == (p == q)
         assert field.element(a.coeffs) == a
 
         inv = ref_inverse(q, mod)
         if b.is_zero():
             assert inv is None
-            with pytest.raises(DivideByZero):
+            msg = f"zero has no inverse in {field.label}"
+            with pytest.raises(DivideByZero, match=f"^{re.escape(msg)}$"):
                 a / b
         elif inv is None:
             assert field == REDUCIBLE

@@ -317,6 +317,13 @@ class TestTheorem1Evaluation:
         lam=NON_INTEGRAL.element([Fraction(-2, 3), Fraction(1, 5), Fraction(3, 4)]),
         mu=8,
     )
+    # in degree 1 the value times d**F is reduced by gcds with d: F = 2 and
+    # d = 2 leave an integer, or 0 (gaps 1, 2: -1/2 + 2/4); F = 39 and
+    # d = 12 cancel both primes of d
+    @example(A=validate_generators([3, 4, 5]), lam=to_element(Fraction(3, 2)), mu=1)
+    @example(A=validate_generators([3, 4, 5]), lam=to_element(Fraction(-1, 2)), mu=1)
+    @example(A=validate_generators([5, 11]), lam=to_element(Fraction(7, 12)), mu=3)
+    @example(A=validate_generators([3, 5, 7]), lam=LINEAR.from_rational(Fraction(-1, 2)), mu=2)
     def test_matches_field_element_loop(self, A, lam, mu):
         assume(not lam.is_zero())
         pivots = [p for p in A if not (lam**p).is_one()]
@@ -330,6 +337,32 @@ class TestTheorem1Evaluation:
                 continue
             got = weighted_power_sum(A, mu, lam, pivot=p).value
             assert (got.field.modulus, got.coeffs) == (want.field.modulus, want.coeffs)
+            assert got.den > 0 and gcd(got.den, *got.num) == 1  # == reads num and den
+
+    def test_wrong_tail_raises(self, monkeypatch):
+        # in degree 1, _homogeneous forms only A_mu(lambda), the tail's numerator
+        homogeneous = exactnum._homogeneous
+        monkeypatch.setattr(
+            exactnum, "_homogeneous", lambda *args: [x + 1 for x in homogeneous(*args)]
+        )
+        A = validate_generators([5, 7])
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            weighted_power_sum(A, 1, Fraction(-3, 2))
+
+    def test_no_gcd_of_two_long_integers(self, monkeypatch):
+        # the value has about 231,000 bits; its denominator is 2**F
+        calls = []
+        spied = exactnum.gcd
+
+        def spy(*args):
+            calls.append(sorted(x.bit_length() for x in args))
+            return spied(*args)
+
+        monkeypatch.setattr(exactnum, "gcd", spy)
+        A = validate_generators([1000, 1001, 1007, 2003])
+        value = weighted_power_sum(A, 1, Fraction(-3, 2)).value
+        assert value.den.bit_length() > 10_000
+        assert calls and not any(len(bits) > 1 and bits[-2] > 10_000 for bits in calls)
 
 
 class TestTheorem5Evaluation:

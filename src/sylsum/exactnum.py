@@ -307,7 +307,9 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of x**0, x**1, ... as Fractions."""
-        if self._coeffs is None:
+        if self._coeffs is None and self.field.degree == 1:
+            self._coeffs = (_lowest_terms(self.num[0], self.den),)
+        elif self._coeffs is None:
             pairs = zip(self.num, self.field.c_pows)
             self._coeffs = tuple(Fraction(a * ck, self.den) for a, ck in pairs)
         return self._coeffs
@@ -466,6 +468,13 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{pretty_str(self)} in {self.field.label}>"
+
+
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """The Fraction num / den, for gcd(num, den) == 1 and den > 0: no gcd."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num, den
+    return q
 
 
 def _reduced(field: NumberField, num: Sequence[int], den: int) -> FieldElement:

@@ -10,10 +10,11 @@ exactly reps[i] - a, reps[i] - 2a, ..., down to i's first positive value.
 
 Two independent algorithms are provided on purpose: Apery sets come from the
 round-robin algorithm of Boecker & Liptak, O(k * a) for k generators with no
-heap, while ``sieve_representable`` is a reachability table, one big-integer
-bitset closed under adding each generator.  Tests play them against each
-other, and against the heap Dijkstra (Nijenhuis 1979) that round-robin
-replaced, which the tests keep as a reference.
+heap, seeded where it can be from the L-shape of three generators, while
+``sieve_representable`` is a reachability table, one big-integer bitset
+closed under adding each generator.  Tests play them against each other,
+and against the heap Dijkstra (Nijenhuis 1979) that round-robin replaced,
+which the tests keep as a reference.
 
 The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 ``sums`` and ``oracle`` are immutable records on the small base
@@ -23,7 +24,7 @@ The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd
 from operator import mod
 from typing import Iterable, Iterator
@@ -157,13 +158,11 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     generators seen so far reach.  A generator b with b % pivot != 0 moves
     residue p to (p + b) % pivot, so it splits the residues into
     d = gcd(pivot, b) cycles of pivot/d residues.  The first such b fills
-    its own cycle through 0 directly, n[j*b % pivot] = j*b.  Each later b
-    walks every cycle once, starting at the cycle's least reached residue
-    (nothing in the cycle can improve it; being congruent to its residue,
-    the least value also gives its position) and setting
-    n[p] = min(m + b, n[p]) as it goes; a cycle nothing has reached yet is
-    skipped.  That is O(k * pivot) for k generators, with no heap and no
-    queue.
+    its own cycle through 0 directly, n[j*b % pivot] = j*b, and each later
+    one is walked by :func:`_walk`; but when the first two, b and c, have
+    gcd(pivot, b, c) == 1, :func:`_l_shape` writes the Apery set of
+    <pivot, b, c> in one pass, unless it is not an L-shape.  That is
+    O(k * pivot) for k generators, with no heap and no queue.
 
     A residue left at the sentinel ``pivot * max(gens)``, above every Apery
     element, is unreachable, which the gcd 1 of validated generators rules
@@ -178,31 +177,76 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     unreached = a * max(A)
     n = [unreached] * a
     n[0] = 0
-    if steps:
-        b = steps[0]
+    if len(steps) > 1 and gcd(a, *steps[:2]) == 1 and _l_shape(n, a, *steps[:2]):
+        del steps[:2]
+    elif steps:
+        b = steps.pop(0)
         for m in range(b, a // gcd(a, b) * b, b):
             n[m % a] = m
-    for b in steps[1:]:
-        d = gcd(a, b)
-        s = b % a
-        span = a // d * s
-        for r in range(d):
-            # residue 0 holds 0.  The slice is dropped before the walk: kept
-            # during it, it would hold every value the walk replaces.
-            m = min(n[r::d]) if r else 0
-            if m == unreached:
-                continue
-            q = m % a  # a reached value is congruent to its residue
-            for p in map(mod, range(q + s, q + span, s), repeat(a)):
-                m += b
-                v = n[p]
-                if v < m:
-                    m = v
-                else:
-                    n[p] = m
+    for b in steps:
+        _walk(n, a, b, unreached)
     if unreached in n:
         raise ArithmeticError(f"some residue mod {pivot} is unreachable from {A.gens}")
     return AperySet(pivot, tuple(n))
+
+
+def _relation(a: int, b: int, c: int) -> tuple[int, int]:
+    """The least x > 0 with x*b in <a, c>, and the least y with x*b - y*c
+    a nonnegative multiple of a: y is (x*b mod a)/g * (c/g)**-1 mod a/g for
+    g = gcd(a, c), so the search takes x steps."""
+    g = gcd(a, c)
+    inv = pow(c // g, -1, a // g)
+    for x in count(1):
+        r = x * b % a
+        if r % g == 0:
+            y = r // g * inv % (a // g)
+            if y * c <= x * b:
+                return x, y
+
+
+def _l_shape(n: list[int], a: int, b: int, c: int) -> bool:
+    """Write the Apery set of <a, b, c> (gcd 1, b and c not multiples of a)
+    into n, or return False, writing nothing, when it is not an L-shape.
+
+    With (alpha, v) = _relation(a, b, c) and (beta, w) = _relation(a, c, b)
+    it is x*b + y*c, x < alpha, y < beta, less the corner x >= alpha - w,
+    y >= beta - v: alpha*beta - v*w == a elements, unless v == beta and so
+    alpha*b == beta*c (Herzog, Manuscripta Math. 3, 1970; Rosales &
+    Garcia-Sanchez, Numerical Semigroups, Springer 2009, ch. 9)."""
+    (alpha, v), (beta, w) = _relation(a, b, c), _relation(a, c, b)
+    if v == beta:
+        return False
+    if alpha * beta - v * w != a:
+        raise ArithmeticError(f"L-shape of <{a}, {b}, {c}> has {alpha * beta - v * w} elements")
+    for y in range(beta):
+        width = alpha if y < beta - v else alpha - w
+        for m in range(y * c, y * c + width * b, b):
+            n[m % a] = m
+    return True
+
+
+def _walk(n: list[int], a: int, b: int, unreached: int) -> None:
+    """Walk every cycle of p -> (p + b) % a once from its least reached
+    residue (nothing in the cycle can improve it; being congruent to its
+    residue, the least value also gives its position), setting
+    n[p] = min(m + b, n[p]); a cycle nothing has reached yet is skipped."""
+    d = gcd(a, b)
+    s = b % a
+    span = a // d * s
+    for r in range(d):
+        # residue 0 holds 0.  The slice is dropped before the walk: kept
+        # during it, it would hold every value the walk replaces.
+        m = min(n[r::d]) if r else 0
+        if m == unreached:
+            continue
+        q = m % a  # a reached value is congruent to its residue
+        for p in map(mod, range(q + s, q + span, s), repeat(a)):
+            m += b
+            v = n[p]
+            if v < m:
+                m = v
+            else:
+                n[p] = m
 
 
 class GapSet(Record):
@@ -227,13 +271,8 @@ def gap_set(A: GeneratorSet) -> GapSet:
     """Enumerate all gaps from the Apery set of the smallest generator."""
     ap = apery_set(A)
     gaps = []
-    for i, m in enumerate(ap.reps):
-        if i == 0:
-            continue
-        n = m - ap.pivot
-        while n > 0:
-            gaps.append(n)
-            n -= ap.pivot
+    for m in ap.reps:
+        gaps.extend(range(m - ap.pivot, 0, -ap.pivot))
     gaps.sort()
     return GapSet(tuple(gaps))
 
@@ -272,10 +311,10 @@ def sylvester_number(A: GeneratorSet, pivot: int | None = None) -> int:
     n(A) = (1/a) * sum_i reps[i] - (a-1)/2."""
     ap = apery_set(A, pivot)
     a = ap.pivot
-    value = Fraction(sum(ap.reps), a) - Fraction(a - 1, 2)
-    if value.denominator != 1:
-        raise ArithmeticError(f"genus {value} of {A.gens} is not an integer")
-    return int(value)
+    value, rest = divmod(2 * sum(ap.reps) - a * (a - 1), 2 * a)
+    if rest:
+        raise ArithmeticError(f"genus {Fraction(rest, 2 * a) + value} of {A.gens} is not an integer")
+    return value
 
 
 def sylvester_sum(A: GeneratorSet, pivot: int | None = None) -> int:
@@ -284,7 +323,7 @@ def sylvester_sum(A: GeneratorSet, pivot: int | None = None) -> int:
     ap = apery_set(A, pivot)
     a = ap.pivot
     sq = sum(m * m for m in ap.reps)
-    value = Fraction(sq, 2 * a) - Fraction(sum(ap.reps), 2) + Fraction(a * a - 1, 12)
-    if value.denominator != 1:
-        raise ArithmeticError(f"gap sum {value} of {A.gens} is not an integer")
-    return int(value)
+    value, rest = divmod(6 * sq - 6 * a * sum(ap.reps) + a * (a * a - 1), 12 * a)
+    if rest:
+        raise ArithmeticError(f"gap sum {Fraction(rest, 12 * a) + value} of {A.gens} is not an integer")
+    return value

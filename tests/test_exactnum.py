@@ -264,6 +264,16 @@ def test_coefficients_stay_normalized(a, b):
             assert gcd(abs(c.numerator), c.denominator) == 1
 
 
+@given(st.sampled_from([QQ, NumberField([Fraction(-3, 2), 1])]), rationals, rationals)
+def test_degree_one_coefficient_is_a_reduced_fraction(field, p, q):
+    # built without a gcd, it must still equal, hash and print as Fraction(num, den)
+    for e in (field.element([p]) + q, field.element([p]) * q, field.element([p]) / 6):
+        (c,) = e.coeffs
+        want = Fraction(e.num[0], e.den)
+        assert type(c) is Fraction and (c.numerator, c.denominator) == (want.numerator, want.denominator)
+        assert (c, hash(c), str(c), c + 1) == (want, hash(want), str(want), want + 1)
+
+
 # ---------------------------------------------------------------------------
 # The Fraction-polynomial arithmetic that integer vectors replaced: elements
 # as coefficient tuples in x, products reduced by polynomial division,

@@ -1,9 +1,10 @@
 """Independent checks at sizes beyond brute force (``large`` tier).
 
 Deselected by default; run with ``python -m pytest -q -m large``.  With no
-oracle in reach, the Apery sets are held to the Dijkstra reference, and the
-sums and statistics to pivot independence: every pivot gives a different
-Apery set and a different rational function, but the same value.
+oracle in reach, the Apery sets are held to the Dijkstra reference and to
+the sieve, and the sums and statistics to pivot independence: every pivot
+gives a different Apery set and a different rational function, but the same
+value.
 """
 
 import json
@@ -29,6 +30,7 @@ from sylsum.semigroup import (
     apery_set,
     frobenius_number,
     gap_set,
+    sieve_representable,
     sylvester_number,
     sylvester_sum,
     validate_generators,
@@ -54,15 +56,43 @@ def seeded_instances(seed, count):
     return out
 
 
-# the last instance has 50,000 and 20,000 cycles of 2 and 5 residues
+def unit_pool_shapes(seed, count):
+    """``count`` coprime sets shaped like the weight-1 benchmark pool: a in
+    3*10^3..1.5*10^4 followed by 2, 3 or 4 generators in (a, 2a)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = rng.randint(3_000, 15_000)
+        gens = {a} | set(rng.sample(range(a + 1, 2 * a), 2 + len(out) % 3))
+        if gcd(*gens) == 1:
+            out.append(validate_generators(gens))
+    return out
+
+
+# the 100,000 instance has 50,000 and 20,000 cycles of 2 and 5 residues; the
+# 61,810 one is a three-generator shape of the weight-1 benchmark pool
 @pytest.mark.parametrize(
     "A",
-    seeded_instances(seed=5, count=8) + [validate_generators([100_000, 100_001, 140_000, 150_000])],
+    seeded_instances(seed=5, count=8)
+    + [
+        validate_generators([100_000, 100_001, 140_000, 150_000]),
+        validate_generators([61_810, 103_417, 111_037]),
+    ],
     ids=str,
 )
 def test_round_robin_matches_dijkstra(A):
     for pivot in A:
         assert apery_set(A, pivot).reps == apery_set_dijkstra_reference(A, pivot)
+
+
+@pytest.mark.parametrize("A", unit_pool_shapes(seed=21, count=9), ids=str)
+def test_apery_sets_match_sieve(A):
+    # the sieve shares nothing with the L-shape or the round-robin walk
+    aps = [apery_set(A, pivot) for pivot in A]
+    table = sieve_representable(A, max(max(ap.reps) + ap.pivot for ap in aps))
+    for ap in aps:
+        for i, m in enumerate(ap.reps):
+            assert table[m] and not any(table[i : m : ap.pivot])
 
 
 def _statistics(A, pivot):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sylsum import semigroup
 from sylsum.semigroup import (
+    AperySet,
     EmptyGenerators,
     GeneratorSet,
     NonPositive,
@@ -51,6 +53,31 @@ def sieve_representable_reference(A, bound):
     for n in range(1, bound + 1):
         table[n] = any(n >= a and table[n - a] for a in A)
     return table
+
+
+def coprime_sets(size, bound):
+    return (
+        st.lists(st.integers(1, bound), min_size=size[0], max_size=size[1], unique=True)
+        .filter(lambda gens: gcd(*gens) == 1)
+        .map(validate_generators)
+    )
+
+
+def peak_over_dijkstra_reference(A):
+    """The peak traced memory of a second ``apery_set`` at the least pivot,
+    minus that of a second Dijkstra reference."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for build in (apery_set, apery_set_dijkstra_reference):
+            build(A, A.min)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            build(A, A.min)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    return peaks[0] - peaks[1]
 
 
 def random_generator_sets(count, seed, k_max=4, bound=40):
@@ -121,13 +148,13 @@ class TestAperySet:
                     for below in range(i, m, pivot):
                         assert not table[below]
 
-    @given(
-        st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True)
-        .filter(lambda gens: gcd(*gens) == 1)
-        .map(validate_generators)
-    )
+    @given(st.one_of(coprime_sets((2, 6), 60), coprime_sets((3, 3), 500), coprime_sets((4, 6), 150)))
+    @example(validate_generators([97, 131, 163]))  # an L-shape at every pivot
+    @example(validate_generators([9, 22, 33]))  # 3*22 == 2*33: no L-shape
+    @example(validate_generators([3, 4, 8]))  # 2*4 == 8: no L-shape
     @example(validate_generators([12, 18, 20, 27]))  # gcd(12, b) > 1 for every b
-    @example(validate_generators([6, 10, 15]))
+    @example(validate_generators([4, 6, 8, 9]))  # 4 divides 8: L-shape of 4, 6, 9
+    @example(validate_generators([6, 10, 15]))  # gcd(a, b) > 1 at every pivot
     @example(validate_generators([5, 13, 15, 40]))  # multiples of 5, 13 > 2*5
     @example(validate_generators([1, 7]))  # pivot 1
     def test_matches_dijkstra_and_sieve_for_every_pivot(self, A):
@@ -137,6 +164,45 @@ class TestAperySet:
             table = sieve_representable(A, max(reps) + pivot)
             for i, m in enumerate(reps):
                 assert table[m] and not any(table[i:m:pivot])
+
+    @pytest.mark.parametrize(
+        "gens, shapes, walks",
+        [
+            ((20011, 24999, 31013), [True], 0),
+            ((7, 9, 11, 13), [True], 1),
+            ((9, 22, 33), [False], 1),
+            ((3, 4, 8), [False], 1),
+            ((12, 18, 20, 27), [], 2),
+            ((5, 13, 15), [], 0),  # 5 divides 15: one step, filled directly
+        ],
+    )
+    def test_l_shape_replaces_the_first_walk(self, monkeypatch, gens, shapes, walks):
+        results = {"_l_shape": [], "_walk": []}  # what each call returned
+
+        def spy(name, fn):
+            def spied(*args):
+                results[name].append(fn(*args))
+                return results[name][-1]
+
+            return spied
+
+        for name in results:
+            monkeypatch.setattr(semigroup, name, spy(name, getattr(semigroup, name)))
+        A = validate_generators(gens)
+        assert apery_set(A, A.min).reps == apery_set_dijkstra_reference(A, A.min)
+        assert results["_l_shape"] == shapes and len(results["_walk"]) == walks
+
+    def test_l_shape_of_the_wrong_size_raises(self, monkeypatch):
+        # an explicit check, not an assert: it holds under python -O too
+        relation = semigroup._relation
+
+        def wrong_alpha(a, b, c):
+            x, y = relation(a, b, c)
+            return (x + 1, y) if b < c else (x, y)
+
+        monkeypatch.setattr(semigroup, "_relation", wrong_alpha)
+        with pytest.raises(ArithmeticError, match="L-shape of <20011, 24999, 31013> has"):
+            apery_set(validate_generators([20011, 24999, 31013]))
 
     @pytest.mark.parametrize("pivot", [4, 6])
     def test_unreachable_residue_raises(self, pivot):
@@ -149,18 +215,12 @@ class TestAperySet:
         # residue plus every value the walk replaces, about 0.8 MB more here;
         # the 1 kB allowance covers the loop-local integers of either function.
         A = validate_generators([20011, 24999, 31013, 37001])
-        peaks = []
-        tracemalloc.start()
-        try:
-            for build in (apery_set, apery_set_dijkstra_reference):
-                build(A, A.min)
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                build(A, A.min)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-        assert peaks[0] <= peaks[1] + 1024
+        assert peak_over_dijkstra_reference(A) <= 1024
+
+    def test_l_shape_peak_memory_within_dijkstra_reference(self):
+        # the rows of the L-shape are ranges: no second list of pivot length
+        A = validate_generators([20011, 24999, 31013])
+        assert peak_over_dijkstra_reference(A) <= 1024
 
     def test_pivot_changes_keep_statistics(self):
         A = validate_generators([5, 17, 19, 23])
@@ -241,6 +301,16 @@ class TestGapStatistics:
             assert frobenius_number(A) == (max(gaps) if gaps else None)
             assert sylvester_number(A) == len(gaps)
             assert sylvester_sum(A) == sum(gaps)
+
+    @pytest.mark.parametrize(
+        "statistic, message",
+        [(sylvester_number, r"genus 1/3 of \(3, 5\) is"), (sylvester_sum, r"gap sum 1/3 of \(3, 5\) is")],
+    )
+    def test_non_apery_reps_give_no_integer(self, monkeypatch, statistic, message):
+        # (0, 1, 3) is not an Apery set: the identities give 1/3, not a count
+        monkeypatch.setattr(semigroup, "apery_set", lambda A, pivot: AperySet(3, (0, 1, 3)))
+        with pytest.raises(ArithmeticError, match=message + " not an integer"):
+            statistic(validate_generators([3, 5]))
 
     def test_two_generator_closed_forms(self):
         for a in range(2, 31):

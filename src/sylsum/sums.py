@@ -11,8 +11,7 @@ structure of each class collapses into rational functions of lambda.
 
 Which formula applies depends on lambda:
 
-  * lambda**a != 1: the general Eulerian-number formula (any mu), with
-    specialised forms for mu = 1 and mu = 2;
+  * lambda**a != 1: the general Eulerian-number formula (any mu);
   * lambda**a == 1, lambda != 1: a root-of-unity form for mu = 1;
   * lambda == 1: a Bernoulli-number form (any mu), pure power sums;
   * two and three generators additionally admit fully closed forms with
@@ -176,27 +175,6 @@ def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers
     return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows, power.ladder())
 
 
-def _mu2(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder())
-    L = power(a)
-    d_inv = (L - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    return (
-        d_inv * s2
-        - 2 * a * L * d_inv**2 * s1
-        + a * a * L * (L + 1) * d_inv**3 * s0
-        - lam * (lam + 1) * lam1_inv**3
-    )
-
-
-def _mu1(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1, power.ladder())
-    L = power(a)
-    d_inv = (L - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    return d_inv * s1 - a * L * d_inv**2 * s0 + lam * lam1_inv**2
-
-
 def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     _, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2, power.ladder())
     lam1_inv = (lam - 1).inverse()
@@ -337,8 +315,8 @@ def _non_unit_power(lam: FieldElement, L: FieldElement | int) -> bool:
 
 ROUTES: dict[Formula, _Route] = {
     Formula.GENERAL: _Route(_general, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
-    Formula.MU2: _Route(_mu2, mu=2, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
-    Formula.MU1: _Route(_mu1, mu=1, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
+    Formula.MU2: _Route(_general, mu=2, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
+    Formula.MU1: _Route(_general, mu=1, pivot=_non_unit_power, pivot_rule="lambda**a != 1"),
     Formula.MU1_ROU: _Route(
         _mu1_rou,
         mu=1,
@@ -446,12 +424,27 @@ def weighted_power_sum(
 
 
 def weighted_sum_mu2(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
-    """Specialised mu = 2 formula (lambda**pivot != 1)."""
+    """Theorem 2, mu = 2, valid when lambda**pivot != 1:
+
+    S[2] / (L-1) - 2a L S[1] / (L-1)^2 + a^2 L(L+1) S[0] / (L-1)^3
+      - lambda(lambda+1) / (lambda-1)^3
+
+    with a, L and S as in ``weighted_power_sum``.  It is Theorem 1 at
+    mu = 2 (A_0 = 1, A_1(t) = t, A_2(t) = t + t^2), and is evaluated by
+    ``exactnum.eulerian_sum`` at that fixed mu.
+    """
     return evaluate(Formula.MU2, A, 2, lam, pivot)
 
 
 def weighted_sum_mu1(A: GeneratorSet, lam: Scalar, pivot: int | None = None) -> SumResult:
-    """Specialised mu = 1 formula (lambda**pivot != 1)."""
+    """Theorem 3, mu = 1, valid when lambda**pivot != 1:
+
+    S[1] / (L-1) - a L S[0] / (L-1)^2 + lambda / (lambda-1)^2
+
+    with a, L and S as in ``weighted_power_sum``.  It is Theorem 1 at
+    mu = 1 (A_0 = 1, A_1(t) = t), and is evaluated by
+    ``exactnum.eulerian_sum`` at that fixed mu.
+    """
     return evaluate(Formula.MU1, A, 1, lam, pivot)
 
 

@@ -42,6 +42,7 @@ from sylsum.sums import (
     weighted_sum_mu1_rou,
     weighted_sum_mu2,
 )
+from test_sums import mu1_thm3_reference, mu2_thm2_reference
 
 
 @contextmanager
@@ -162,13 +163,13 @@ def test_criterion_8_cross_formula_coherence():
     with criterion(8, "independent formulas agree wherever both apply"):
         instances = random_instances(15, seed=555)
 
-        # general formula vs the mu = 1 and mu = 2 specialisations
+        # general formula vs Theorems 3 and 2 as the paper writes them
         for A in instances[:8]:
-            for lam in (2, Fraction(-1, 2), zeta(4)):
+            for lam in map(to_element, (2, Fraction(-1, 2), zeta(4))):
                 r1 = weighted_power_sum(A, 1, lam)
-                assert r1.value == weighted_sum_mu1(A, lam, r1.pivot_used).value
+                assert r1.value == mu1_thm3_reference(A, lam, r1.pivot_used)
                 r2 = weighted_power_sum(A, 2, lam)
-                assert r2.value == weighted_sum_mu2(A, lam, r2.pivot_used).value
+                assert r2.value == mu2_thm2_reference(A, lam, r2.pivot_used)
 
         # root-of-unity pivot form vs the general form on an alternate pivot
         A = validate_generators([4, 6, 9])

@@ -213,11 +213,22 @@ class TestCliContract:
         assert "10**12" in record["message"]
 
     def test_zero_divisor_exit_4(self, capsys):
-        code, _, err = run(
-            capsys, "sum", "--gens", "2,3", "--mu", "1", "--lambda", "nf([-1,0,1]; [0,1])"
-        )
-        assert code == 4
-        assert "ZeroDivisor" in err
+        # pivot 2 has x**2 == 1; on 3, L - 1 = x - 1 divides zero, on the
+        # dispatched route and on both forced fixed-mu routes
+        for mu, forced in [
+            ("1", ()),
+            ("1", ("--force-formula", "mu1_thm3")),
+            ("2", ("--force-formula", "mu2_thm2")),
+        ]:
+            code, out, err = run(
+                capsys, "sum", "--gens", "2,3", "--mu", mu, "--lambda", "nf([-1,0,1]; [0,1])",
+                *forced,
+            )
+            assert (code, out) == (4, ""), forced
+            assert json.loads(err) == {
+                "error": "ZeroDivisor",
+                "message": "<-1+x in Q[x]/(x^2-1)> is a zero divisor modulo x^2-1",
+            }
 
     def test_zero_divisor_on_general_route_exit_4(self, capsys):
         # pivots 4 and 6 have lambda**a == 1; on 9, lambda**9 - 1 = x - 1
@@ -429,6 +440,20 @@ class TestForceFormula:
             A = validate_generators([int(t) for t in gens[0].split(",")])
             expected = brute_force_weighted_sum(A, int(mu), parse_element(lam))
             assert element_from_obj(envelope["result"]) == expected
+
+    def test_forced_mu2_golden(self, capsys):
+        code, out, _ = run(
+            capsys, "sum", "--gens", "6,9,10", "--mu", "2", "--lambda", "q(5; 1/2, 1/3)",
+            "--force-formula", "mu2_thm2",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "(40891393315931915564823+18287223599025283648822*sqrt(5))/789730223053602816",
+            "canonical: q(5; 13630464438643971854941/263243407684534272,"
+            " 9143611799512641824411/394865111526801408)",
+            "formula: mu2_thm2",
+            "pivot: 6",
+        ]
 
     def test_forced_formula_still_checks_preconditions(self, capsys):
         code, _, err = run(

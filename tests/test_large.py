@@ -4,7 +4,8 @@ Deselected by default; run with ``python -m pytest -q -m large``.  With no
 oracle in reach, the Apery sets are held to the Dijkstra reference and to
 the sieve, and the sums and statistics to pivot independence: every pivot
 gives a different Apery set and a different rational function, but the same
-value.
+value.  The fixed-mu routes are held to Theorems 2 and 3 as the paper
+writes them.
 """
 
 import json
@@ -35,9 +36,14 @@ from sylsum.semigroup import (
     sylvester_sum,
     validate_generators,
 )
-from sylsum.sums import unweighted_power_sum, weighted_power_sum
+from sylsum.sums import (
+    unweighted_power_sum,
+    weighted_power_sum,
+    weighted_sum_mu1,
+    weighted_sum_mu2,
+)
 from test_semigroup import apery_set_dijkstra_reference
-from test_sums import unweighted_thm5_reference
+from test_sums import mu1_thm3_reference, mu2_thm2_reference, unweighted_thm5_reference
 
 pytestmark = pytest.mark.large
 
@@ -132,6 +138,19 @@ def test_weighted_pivot_independence():
     A = validate_generators([1000, 1001, 1007, 2003])
     values = {weighted_power_sum(A, 1, Fraction(-3, 2), pivot).value for pivot in A}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize(
+    "route, reference",
+    [(weighted_sum_mu1, mu1_thm3_reference), (weighted_sum_mu2, mu2_thm2_reference)],
+    ids=["mu1_thm3", "mu2_thm2"],
+)
+def test_fixed_mu_routes_match_theorems_2_and_3(route, reference):
+    # the references combine normalised field elements, a second or so each
+    A, lam = validate_generators([1000, 1001, 1007, 2003]), to_element(Fraction(-3, 2))
+    result = route(A, lam)
+    assert result.pivot_used == 1000
+    assert result.value == reference(A, lam, 1000)
 
 
 @pytest.mark.parametrize("lam", [zeta(7), to_element(-1), zeta(12) ** 5], ids=canonical_str)

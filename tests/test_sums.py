@@ -210,6 +210,35 @@ def general_thm1_reference(A, mu, lam, pivot):
     return total + (-1) ** (mu + 1) * lam1_inv ** (mu + 1) * tail
 
 
+def mu2_thm2_reference(A, lam, pivot):
+    """Theorem 2 (mu = 2) as the paper writes it, combined from normalised
+    field elements: the reference for the mu2_thm2 route, which evaluates
+    Theorem 1 at mu = 2."""
+    a = pivot
+    s0, s1, s2 = power_sums(lam, apery_set(A, a).reps, 2)
+    L = lam**a
+    d_inv = (L - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    return (
+        d_inv * s2
+        - 2 * a * L * d_inv**2 * s1
+        + a * a * L * (L + 1) * d_inv**3 * s0
+        - lam * (lam + 1) * lam1_inv**3
+    )
+
+
+def mu1_thm3_reference(A, lam, pivot):
+    """Theorem 3 (mu = 1) as the paper writes it, combined from normalised
+    field elements: the reference for the mu1_thm3 route, which evaluates
+    Theorem 1 at mu = 1."""
+    a = pivot
+    s0, s1 = power_sums(lam, apery_set(A, a).reps, 1)
+    L = lam**a
+    d_inv = (L - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    return d_inv * s1 - a * L * d_inv**2 * s0 + lam * lam1_inv**2
+
+
 def unweighted_thm5_reference(A, mu, pivot):
     """Theorem 5 as the Fraction double loop that the integer evaluation
     replaced: one Bernoulli number and one pass over the Apery set per
@@ -339,8 +368,41 @@ class TestTheorem1Evaluation:
             assert (got.field.modulus, got.coeffs) == (want.field.modulus, want.coeffs)
             assert got.den > 0 and gcd(got.den, *got.num) == 1  # == reads num and den
 
+    @settings(deadline=None)
+    @given(A=generator_sets, lam=weights)
+    # the (A, lambda) examples of test_matches_field_element_loop, and x of
+    # the reducible x**2 - 1 on <2, 3>, where pivot 3 meets x - 1
+    @example(A=validate_generators([4, 6, 9]), lam=REDUCIBLE.element([0, 1]))
+    @example(A=validate_generators([2, 3]), lam=REDUCIBLE.element([0, 1]))
+    @example(
+        A=validate_generators([5, 7, 9]),
+        lam=NON_INTEGRAL.element([Fraction(-2, 3), Fraction(1, 5), Fraction(3, 4)]),
+    )
+    @example(A=validate_generators([3, 4, 5]), lam=to_element(Fraction(3, 2)))
+    @example(A=validate_generators([3, 4, 5]), lam=to_element(Fraction(-1, 2)))
+    @example(A=validate_generators([5, 11]), lam=to_element(Fraction(7, 12)))
+    @example(A=validate_generators([3, 5, 7]), lam=LINEAR.from_rational(Fraction(-1, 2)))
+    def test_fixed_mu_routes_match_theorems_2_and_3(self, A, lam):
+        assume(not lam.is_zero())
+        pivots = [p for p in A if not (lam**p).is_one()]
+        assume(pivots)
+        for route, reference in (
+            (weighted_sum_mu1, mu1_thm3_reference),
+            (weighted_sum_mu2, mu2_thm2_reference),
+        ):
+            for p in pivots:
+                try:
+                    want = reference(A, lam, p)
+                except ZeroDivisor as exc:
+                    with pytest.raises(ZeroDivisor, match=f"^{re.escape(str(exc))}$"):
+                        route(A, lam, pivot=p)
+                    continue
+                got = route(A, lam, pivot=p).value
+                assert (got.field.modulus, got.coeffs) == (want.field.modulus, want.coeffs)
+
     def test_wrong_tail_raises(self, monkeypatch):
-        # in degree 1, _homogeneous forms only A_mu(lambda), the tail's numerator
+        # in degree 1, _homogeneous forms only A_mu(lambda), the tail's
+        # numerator; the forced Theorem 3 and 2 routes run the same check
         homogeneous = exactnum._homogeneous
         monkeypatch.setattr(
             exactnum, "_homogeneous", lambda *args: [x + 1 for x in homogeneous(*args)]
@@ -348,6 +410,25 @@ class TestTheorem1Evaluation:
         A = validate_generators([5, 7])
         with pytest.raises(ArithmeticError, match="is not an integer"):
             weighted_power_sum(A, 1, Fraction(-3, 2))
+        for route in (weighted_sum_mu1, weighted_sum_mu2):
+            with pytest.raises(ArithmeticError, match="is not an integer"):
+                route(A, Fraction(-3, 2))
+
+    @pytest.mark.parametrize("formula, mu", [(Formula.MU1, 1), (Formula.MU2, 2)])
+    def test_fixed_mu_routes_run_theorem_1(self, monkeypatch, formula, mu):
+        # one Theorem 1 evaluation at the route's pivot, and no S[t] formed apart
+        pivots, power_sum_calls = [], []
+        evaluator, power_sums_ = sums.eulerian_sum, sums.power_sums
+        monkeypatch.setattr(
+            sums, "eulerian_sum", lambda *args: pivots.append(args[3]) or evaluator(*args)
+        )
+        monkeypatch.setattr(
+            sums, "power_sums", lambda *args: power_sum_calls.append(args) or power_sums_(*args)
+        )
+        result = sums.evaluate(formula, A4, mu, Fraction(-3, 2))
+        assert (result.formula_used, result.pivot_used) == (formula, 5)
+        assert (pivots, power_sum_calls) == ([5], [])
+        assert result.value == brute_force_weighted_sum(A4, mu, Fraction(-3, 2))
 
     def test_no_gcd_of_two_long_integers(self, monkeypatch):
         # the value has about 231,000 bits; its denominator is 2**F
@@ -399,11 +480,11 @@ class TestSpecializedFormulas:
 
     def test_specialization_coherence(self):
         for A in random_instances(12, seed=31):
-            for lam in (2, -3, Fraction(-1, 2), zeta(4)):
+            for lam in map(to_element, (2, -3, Fraction(-1, 2), zeta(4))):
                 general1 = weighted_power_sum(A, 1, lam)
-                assert general1.value == weighted_sum_mu1(A, lam, general1.pivot_used).value
+                assert general1.value == mu1_thm3_reference(A, lam, general1.pivot_used)
                 general2 = weighted_power_sum(A, 2, lam)
-                assert general2.value == weighted_sum_mu2(A, lam, general2.pivot_used).value
+                assert general2.value == mu2_thm2_reference(A, lam, general2.pivot_used)
 
 
 def mu1_rou_reference(A, lam, pivot):

@@ -1,5 +1,5 @@
 """Exact combinatorial coefficients: Eulerian numbers, Bernoulli numbers,
-and the Bernoulli closed form for power sums.
+and the power sums F_j(n) = sum_{x<n} x**j (Faulhaber's sums).
 
 The Eulerian triangle entry E(n, m) counts permutations of 1..n with
 exactly m ascents.  Rows are built from the previous row by the recurrence
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import repeat
 from math import comb, lcm
 from typing import Callable
 
@@ -78,17 +79,24 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n][0]
 
 
-def faulhaber_sum(ell: int, kappa: int) -> Fraction:
-    """sum_{j=1}^{ell} j**kappa, by the Bernoulli closed form.
+def power_sum_table(n: int, k: int) -> list[int]:
+    """[F_0(n), ..., F_k(n)] with F_j(n) = sum_{x<n} x**j (0**0 == 1): by
+    direct summation when n <= k + 1, else from Pascal's identity
+    n**(j+1) = sum_{x<n} ((x+1)**(j+1) - x**(j+1)) = sum_{i<=j} C(j+1, i) F_i(n),
+    one exact integer division per j."""
+    if n <= k + 1:
+        return [sum(map(pow, range(n), repeat(j))) for j in range(k + 1)]
+    table: list[int] = []
+    for j in range(k + 1):
+        table.append((n ** (j + 1) - sum([comb(j + 1, i) * f for i, f in enumerate(table)])) // (j + 1))
+    return table
 
-    Exact for arbitrarily large ``ell``; the result is an integer-valued
-    Fraction.
-    """
+
+def faulhaber_sum(ell: int, kappa: int) -> Fraction:
+    """sum_{j=1}^{ell} j**kappa, ``power_sum_table(ell + 1, kappa)`` less
+    0**kappa: exact for arbitrarily large ``ell``, an integer-valued Fraction."""
     if ell < 0:
         raise ValueError("upper limit must be nonnegative")
     if kappa < 0:
         raise ValueError("exponent must be nonnegative")
-    total = Fraction(0)
-    for i in range(1, kappa + 2):
-        total += comb(kappa + 1, i) * (-1) ** (kappa - i + 1) * bernoulli(kappa - i + 1) * ell**i
-    return total / (kappa + 1)
+    return Fraction(power_sum_table(ell + 1, kappa)[kappa] - (kappa == 0))

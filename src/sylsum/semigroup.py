@@ -10,11 +10,13 @@ exactly reps[i] - a, reps[i] - 2a, ..., down to i's first positive value.
 
 Two independent algorithms are provided on purpose: Apery sets come from the
 round-robin algorithm of Boecker & Liptak, O(k * a) for k generators with no
-heap, seeded where it can be from the L-shape of three generators, while
+heap, seeded where it can be from the L-shape of a pair of steps, while
 ``sieve_representable`` is a reachability table, one big-integer bitset
 closed under adding each generator.  Tests play them against each other,
 and against the heap Dijkstra (Nijenhuis 1979) that round-robin replaced,
-which the tests keep as a reference.
+which the tests keep as a reference.  The gap statistics need only the
+power sums P_k = sum_i reps[i]**k and the largest element, which a pair or
+an L-shaped triple gives in closed form, Faulhaber sums with no list.
 
 The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 ``sums`` and ``oracle`` are immutable records on the small base
@@ -24,10 +26,12 @@ The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, repeat
-from math import gcd
-from operator import mod
-from typing import Iterable, Iterator
+from itertools import accumulate, combinations, count, repeat
+from math import comb, gcd
+from operator import mod, mul
+from typing import Iterable, Iterator, Sequence
+
+from .combinatorics import power_sum_table
 
 
 class EmptyGenerators(ValueError):
@@ -157,12 +161,10 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     ``n[i]`` is the least element congruent to i mod pivot that the
     generators seen so far reach.  A generator b with b % pivot != 0 moves
     residue p to (p + b) % pivot, so it splits the residues into
-    d = gcd(pivot, b) cycles of pivot/d residues.  The first such b fills
-    its own cycle through 0 directly, n[j*b % pivot] = j*b, and each later
-    one is walked by :func:`_walk`; but when the first two, b and c, have
-    gcd(pivot, b, c) == 1, :func:`_l_shape` writes the Apery set of
-    <pivot, b, c> in one pass, unless it is not an L-shape.  That is
-    O(k * pivot) for k generators, with no heap and no queue.
+    d = gcd(pivot, b) cycles of pivot/d residues.  The L-shape or row that
+    :func:`_seed` finds is written in one pass; without one, the first such
+    b fills its own cycle through 0 directly, n[j*b % pivot] = j*b.  Every
+    other one is walked by :func:`_walk`: O(k * pivot) for k generators.
 
     A residue left at the sentinel ``pivot * max(gens)``, above every Apery
     element, is unreachable, which the gcd 1 of validated generators rules
@@ -177,8 +179,14 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     unreached = a * max(A)
     n = [unreached] * a
     n[0] = 0
-    if len(steps) > 1 and gcd(a, *steps[:2]) == 1 and _l_shape(n, a, *steps[:2]):
-        del steps[:2]
+    seed = _seed(a, steps)
+    if seed:
+        b, c, alpha, v, beta, w = seed
+        steps = [d for d in steps if d not in (b, c)]
+        for y in range(beta):
+            width = alpha if y < beta - v else alpha - w
+            for m in range(y * c, y * c + width * b, b):
+                n[m % a] = m
     elif steps:
         b = steps.pop(0)
         for m in range(b, a // gcd(a, b) * b, b):
@@ -204,9 +212,9 @@ def _relation(a: int, b: int, c: int) -> tuple[int, int]:
                 return x, y
 
 
-def _l_shape(n: list[int], a: int, b: int, c: int) -> bool:
-    """Write the Apery set of <a, b, c> (gcd 1, b and c not multiples of a)
-    into n, or return False, writing nothing, when it is not an L-shape.
+def _l_shape(a: int, b: int, c: int) -> tuple[int, int, int, int] | None:
+    """(alpha, v, beta, w) of the Apery set of <a, b, c> (gcd 1, b and c not
+    multiples of a), or None when it is not an L-shape.
 
     With (alpha, v) = _relation(a, b, c) and (beta, w) = _relation(a, c, b)
     it is x*b + y*c, x < alpha, y < beta, less the corner x >= alpha - w,
@@ -215,14 +223,24 @@ def _l_shape(n: list[int], a: int, b: int, c: int) -> bool:
     Garcia-Sanchez, Numerical Semigroups, Springer 2009, ch. 9)."""
     (alpha, v), (beta, w) = _relation(a, b, c), _relation(a, c, b)
     if v == beta:
-        return False
+        return None
     if alpha * beta - v * w != a:
         raise ArithmeticError(f"L-shape of <{a}, {b}, {c}> has {alpha * beta - v * w} elements")
-    for y in range(beta):
-        width = alpha if y < beta - v else alpha - w
-        for m in range(y * c, y * c + width * b, b):
-            n[m % a] = m
-    return True
+    return alpha, v, beta, w
+
+
+def _seed(a: int, steps: list[int]) -> tuple[int, ...] | None:
+    """(b, c, alpha, v, beta, w) of :func:`_l_shape` for the first pair of
+    steps b, c, in order, with gcd(a, b, c) == 1 whose Apery set is an
+    L-shape, or the row (b, 0, a, 0, 1, 0) for a lone step b coprime to a."""
+    if len(steps) == 1 and gcd(a, steps[0]) == 1:
+        return steps[0], 0, a, 0, 1, 0
+    for b, c in combinations(steps, 2):
+        if gcd(a, b, c) == 1:
+            shape = _l_shape(a, b, c)
+            if shape:
+                return (b, c, *shape)
+    return None
 
 
 def _walk(n: list[int], a: int, b: int, unreached: int) -> None:
@@ -298,32 +316,86 @@ def sieve_representable(A: GeneratorSet, bound: int) -> list[bool]:
     return [bit == "1" for bit in reversed(f"{s:0{bound + 1}b}")]
 
 
+def apery_power_sums(A: GeneratorSet, pivot: int | None, ks: Sequence[int]) -> tuple[int, ...]:
+    """P_k = sum_i reps[i]**k for each k in ``ks``, over the Apery set of
+    ``pivot`` (default the least generator).
+
+    When :func:`_seed` writes the set from at most two steps, with
+    F_j(n) = sum_{x<n} x**j (``combinatorics.power_sum_table``),
+
+        P_k = sum_j C(k, j) b**j c**(k-j) [F_j(alpha) F_{k-j}(beta)
+                - (F_j(alpha) - F_j(alpha-w)) (F_{k-j}(beta) - F_{k-j}(beta-v))].
+
+    That is k + 1 products, each about two pows of a list pass, and an L's
+    relations and tables cost about a 90-element pass; so it runs when the
+    pivot exceeds 2*max(ks), plus 90 for an L.  Otherwise each P_k is one
+    pass over ``apery_set(A, pivot).reps``.
+    """
+    a = A.min if pivot is None else pivot
+    top = max(ks, default=0)
+    if a > 2 * top:
+        check_pivot(A, a)
+        steps = [b for b in A if b % a != 0]
+        if (len(steps) == 1 or len(steps) == 2 and a > 2 * top + 90) and (shape := _seed(a, steps)):
+            return _shape_power_sums(shape, ks)
+    reps = apery_set(A, a).reps
+    return tuple(sum(reps) if k == 1 else sum(map(pow, reps, repeat(k))) for k in ks)
+
+
+def _shape_power_sums(shape: tuple[int, ...], ks: Sequence[int]) -> tuple[int, ...]:
+    """The closed form of :func:`apery_power_sums` on a shape of :func:`_seed`."""
+    b, c, alpha, v, beta, w = shape
+    top = max(ks, default=0)
+    if beta == 1:  # one row, and no corner
+        row = power_sum_table(alpha, top)
+        return tuple(b**k * row[k] for k in ks)
+    (x, x_corner), (y, y_corner) = _scaled_sums(b, alpha, w, top), _scaled_sums(c, beta, v, top)
+    return tuple(
+        sum([comb(k, j) * (x[j] * y[k - j] - x_corner[j] * y_corner[k - j]) for j in range(k + 1)])
+        for k in ks
+    )
+
+
+def _scaled_sums(b: int, n: int, corner: int, top: int) -> tuple[list[int], list[int]]:
+    """b**j * F_j(n) and b**j * (F_j(n) - F_j(n - corner)) for j <= top."""
+    whole, inner = power_sum_table(n, top), power_sum_table(n - corner, top)
+    b_pows = list(accumulate(repeat(b, top), mul, initial=1))
+    return [p * f for p, f in zip(b_pows, whole)], [p * (f - g) for p, f, g in zip(b_pows, whole, inner)]
+
+
 def frobenius_number(A: GeneratorSet, pivot: int | None = None) -> int | None:
-    """Largest gap, or None when the gap set is empty (1 is a generator)."""
+    """Largest gap, or None when the gap set is empty (1 is a generator):
+    the largest Apery element less the pivot, read off the end of the L's
+    top row or corner row when :func:`_seed` writes it from <= 2 steps."""
     if 1 in A:
         return None
-    ap = apery_set(A, pivot)
-    return max(ap.reps) - ap.pivot
+    a = A.min if pivot is None else pivot
+    check_pivot(A, a)
+    steps = [b for b in A if b % a != 0]
+    shape = _seed(a, steps) if len(steps) < 3 else None
+    if shape is None:
+        return max(apery_set(A, a).reps) - a
+    b, c, alpha, v, beta, w = shape
+    return max((alpha - 1) * b + (beta - v - 1) * c, (alpha - w - 1) * b + (beta - 1) * c) - a
 
 
 def sylvester_number(A: GeneratorSet, pivot: int | None = None) -> int:
     """Number of gaps (the genus), via the Apery set identity
-    n(A) = (1/a) * sum_i reps[i] - (a-1)/2."""
-    ap = apery_set(A, pivot)
-    a = ap.pivot
-    value, rest = divmod(2 * sum(ap.reps) - a * (a - 1), 2 * a)
+    n(A) = (1/a) * P_1 - (a-1)/2 with P_1 of :func:`apery_power_sums`."""
+    a = A.min if pivot is None else pivot
+    (p1,) = apery_power_sums(A, a, (1,))
+    value, rest = divmod(2 * p1 - a * (a - 1), 2 * a)
     if rest:
         raise ArithmeticError(f"genus {Fraction(rest, 2 * a) + value} of {A.gens} is not an integer")
     return value
 
 
 def sylvester_sum(A: GeneratorSet, pivot: int | None = None) -> int:
-    """Sum of all gaps, via
-    s(A) = (1/2a) * sum reps[i]^2 - (1/2) * sum reps[i] + (a^2 - 1)/12."""
-    ap = apery_set(A, pivot)
-    a = ap.pivot
-    sq = sum(m * m for m in ap.reps)
-    value, rest = divmod(6 * sq - 6 * a * sum(ap.reps) + a * (a * a - 1), 12 * a)
+    """Sum of all gaps, via s(A) = (1/2a) * P_2 - (1/2) * P_1 + (a^2 - 1)/12
+    with the P_k of :func:`apery_power_sums`."""
+    a = A.min if pivot is None else pivot
+    p1, p2 = apery_power_sums(A, a, (1, 2))
+    value, rest = divmod(6 * p2 - 6 * a * p1 + a * (a * a - 1), 12 * a)
     if rest:
         raise ArithmeticError(f"gap sum {Fraction(rest, 12 * a) + value} of {A.gens} is not an integer")
     return value

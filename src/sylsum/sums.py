@@ -24,7 +24,8 @@ general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
 integer basis; this module hands it the Apery set, L = lambda**a, the
 Eulerian rows and lambda's order ladder, and never sees the integer
 vectors.  The Bernoulli form needs only the plain Apery
-power sums P_k = sum_i reps[i]**k for k <= mu+1, combined in integers over
+power sums P_k = sum_i reps[i]**k for k <= mu+1 (``semigroup.apery_power_sums``,
+in closed form for a pair or an L-shaped triple), combined in integers over
 one common denominator.  Every route returns its value in the weight's
 field, also when the value is rational.
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Callable
 
@@ -63,6 +63,7 @@ from .semigroup import (
     NonPositive,
     NotCoprime,
     Record,
+    apery_power_sums,
     apery_set,
     check_pivot,
     validate_generators,
@@ -184,18 +185,16 @@ def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers
 def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     # The identity in unweighted_power_sum's docstring, times the lcm of the
     # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
-    # total; each other P_k is one C-level map pass over the Apery set, with
-    # no per-element list, and the integer total is divided once.
-    reps = apery_set(A, a).reps
+    # total; ``apery_power_sums`` gives each other P_k with B_(m-k) != 0 (in
+    # closed form for a pair or an L-shaped triple), and the total is divided once.
     m = mu + 1
     B = [bernoulli(b) for b in range(m + 1)]
     b_lcm = lcm(*(x.denominator for x in B))
     by_b = [x.numerator * (b_lcm // x.denominator) for x in B]
+    ks = [k for k in range(1, m + 1) if by_b[m - k]]
     total = by_b[m] * a * (a**m - 1)
-    for k in range(1, m + 1):
-        if by_b[m - k]:
-            p_k = sum(map(pow, reps, repeat(k))) if k > 1 else sum(reps)
-            total += comb(m, k) * a ** (m - k) * by_b[m - k] * p_k
+    for k, p_k in zip(ks, apery_power_sums(A, a, ks)):
+        total += comb(m, k) * a ** (m - k) * by_b[m - k] * p_k
     value, rem = divmod(total, a * m * b_lcm)
     if rem:
         raise ArithmeticError(

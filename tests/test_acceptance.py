@@ -204,8 +204,9 @@ def test_criterion_8_cross_formula_coherence():
 
         # weight-1 formula vs the gap statistics
         for A in instances:
-            assert unweighted_power_sum(A, 0).value == sylvester_number(A)
-            assert unweighted_power_sum(A, 1).value == sylvester_sum(A)
+            gaps = gap_set(A)
+            assert unweighted_power_sum(A, 0).value == sylvester_number(A) == len(gaps)
+            assert unweighted_power_sum(A, 1).value == sylvester_sum(A) == sum(gaps)
 
 
 def test_criterion_9_combinatorics_invariants():

@@ -241,7 +241,9 @@ class TestCliContract:
     def test_internal_invariant_failure_exit_5(self, capsys, monkeypatch):
         # 17 is not congruent to 1 mod 3, so the weight-1 sum fails its
         # integrality check: an internal error, not a traceback
-        monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, 17, 8)))
+        monkeypatch.setattr(
+            sums, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
+        )
         code, out, err = run(capsys, "sum", "--gens", "3,8", "--mu", "0", "--lambda", "1")
         assert code == 5
         assert out == ""

@@ -2,7 +2,8 @@
 
 Deselected by default; run with ``python -m pytest -q -m large``.  With no
 oracle in reach, the Apery sets are held to the Dijkstra reference and to
-the sieve, and the sums and statistics to pivot independence: every pivot
+the sieve, the closed forms of pairs and L-shaped triples to their Apery
+lists, and the sums and statistics to pivot independence: every pivot
 gives a different Apery set and a different rational function, but the same
 value.  The fixed-mu routes are held to Theorems 2 and 3 as the paper
 writes them.
@@ -15,6 +16,7 @@ from math import gcd
 
 import pytest
 
+from sylsum import semigroup, sums
 from sylsum.cli import run_command
 from sylsum.exactnum import (
     FieldElement,
@@ -28,6 +30,7 @@ from sylsum.exactnum import (
 )
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
+    apery_power_sums,
     apery_set,
     frobenius_number,
     gap_set,
@@ -42,7 +45,7 @@ from sylsum.sums import (
     weighted_sum_mu1,
     weighted_sum_mu2,
 )
-from test_semigroup import apery_set_dijkstra_reference
+from test_semigroup import apery_set_dijkstra_reference, rep_power_sums
 from test_sums import mu1_thm3_reference, mu2_thm2_reference, unweighted_thm5_reference
 
 pytestmark = pytest.mark.large
@@ -177,6 +180,40 @@ def test_two_generator_identities(a, b):
         assert frobenius_number(A, pivot) == a * b - a - b
         assert sylvester_number(A, pivot) == (a - 1) * (b - 1) // 2
         assert 12 * sylvester_sum(A, pivot) == (a - 1) * (b - 1) * (2 * a * b - a - b - 1)
+
+
+# three pairs, and three triples whose Apery set is an L-shape at every pivot
+CLOSED_FORM_SETS = [
+    (100_003, 100_019),
+    (99_991, 150_001),
+    (100_000, 100_001),
+    (99_663, 119_436, 151_414),
+    (100_333, 106_662, 109_828),
+    (100_681, 113_019, 170_921),
+]
+
+
+@pytest.mark.parametrize("gens", CLOSED_FORM_SETS, ids=str)
+def test_closed_form_matches_the_enumerated_apery_set(monkeypatch, gens):
+    def no_list(A, pivot=None):
+        raise AssertionError("the closed form builds no Apery list")
+
+    A = validate_generators(gens)
+    for pivot in A:
+        with monkeypatch.context() as m:
+            m.setattr(semigroup, "apery_set", no_list)
+            m.setattr(sums, "apery_set", no_list)
+            sums_k = apery_power_sums(A, pivot, range(5))
+            values = [unweighted_power_sum(A, mu, pivot).value for mu in range(4)]
+            statistics = frobenius_number(A, pivot), sylvester_number(A, pivot), sylvester_sum(A, pivot)
+        ap = apery_set(A, pivot)
+        assert sums_k == rep_power_sums(ap.reps, range(5))
+        # the gaps of class i are reps[i] - pivot, reps[i] - 2*pivot, ...
+        gap_sum = sum(g * m - pivot * g * (g + 1) // 2 for m, g in zip(ap.reps, ap.gap_counts))
+        assert statistics == (max(ap.reps) - pivot, sum(ap.gap_counts), gap_sum)
+        with monkeypatch.context() as m:
+            m.setattr(sums, "apery_power_sums", lambda A, pivot, ks: rep_power_sums(ap.reps, ks))
+            assert values == [unweighted_power_sum(A, mu, pivot).value for mu in range(4)]
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from sylsum import semigroup
 from sylsum.semigroup import (
-    AperySet,
     EmptyGenerators,
     GeneratorSet,
     NonPositive,
     NotCoprime,
+    apery_power_sums,
     apery_set,
     frobenius_number,
     gap_set,
@@ -78,6 +78,11 @@ def peak_over_dijkstra_reference(A):
     finally:
         tracemalloc.stop()
     return peaks[0] - peaks[1]
+
+
+def rep_power_sums(reps, ks):
+    """sum_i reps[i]**k for each k in ks, summed over the list."""
+    return tuple(sum(m**k for m in reps) for k in ks)
 
 
 def random_generator_sets(count, seed, k_max=4, bound=40):
@@ -172,7 +177,7 @@ class TestAperySet:
             ((7, 9, 11, 13), [True], 1),
             ((9, 22, 33), [False], 1),
             ((3, 4, 8), [False], 1),
-            ((12, 18, 20, 27), [], 2),
+            ((12, 18, 20, 27), [True], 1),  # gcd(12, 18, 20) == 2: seeds from 20, 27
             ((5, 13, 15), [], 0),  # 5 divides 15: one step, filled directly
         ],
     )
@@ -190,7 +195,8 @@ class TestAperySet:
             monkeypatch.setattr(semigroup, name, spy(name, getattr(semigroup, name)))
         A = validate_generators(gens)
         assert apery_set(A, A.min).reps == apery_set_dijkstra_reference(A, A.min)
-        assert results["_l_shape"] == shapes and len(results["_walk"]) == walks
+        assert [shape is not None for shape in results["_l_shape"]] == shapes
+        assert len(results["_walk"]) == walks
 
     def test_l_shape_of_the_wrong_size_raises(self, monkeypatch):
         # an explicit check, not an assert: it holds under python -O too
@@ -201,8 +207,10 @@ class TestAperySet:
             return (x + 1, y) if b < c else (x, y)
 
         monkeypatch.setattr(semigroup, "_relation", wrong_alpha)
-        with pytest.raises(ArithmeticError, match="L-shape of <20011, 24999, 31013> has"):
-            apery_set(validate_generators([20011, 24999, 31013]))
+        A = validate_generators([20011, 24999, 31013])
+        for statistic in (apery_set, frobenius_number, sylvester_number, sylvester_sum):
+            with pytest.raises(ArithmeticError, match="L-shape of <20011, 24999, 31013> has"):
+                statistic(A)
 
     @pytest.mark.parametrize("pivot", [4, 6])
     def test_unreachable_residue_raises(self, pivot):
@@ -229,6 +237,39 @@ class TestAperySet:
             for p in A
         }
         assert stats == {(31, 17, 202)}
+
+
+class TestAperyPowerSums:
+    @given(
+        st.one_of(
+            coprime_sets((2, 2), 60),
+            coprime_sets((3, 3), 60),
+            coprime_sets((2, 3), 400),
+            # a redundant generator, or a multiple of some pivot
+            coprime_sets((2, 2), 30).map(lambda A: validate_generators([*A, 2 * A.gens[1]])),
+            coprime_sets((3, 3), 30).map(lambda A: validate_generators([*A, 2 * A.min])),
+        )
+    )
+    @example(validate_generators([3, 5, 10]))  # 10 = 2 * 5 is redundant
+    @example(validate_generators([4, 6, 8, 9]))  # 4 divides 8: steps 6 and 9
+    @example(validate_generators([9, 22, 33]))  # 3*22 == 2*33: no L-shape
+    @example(validate_generators([3, 4, 8]))  # 2*4 == 8: no L-shape
+    @example(validate_generators([97, 131, 163]))  # closed form at every pivot
+    @example(validate_generators([1, 7]))  # pivot 7 has one step, pivot 1 none
+    def test_closed_form_matches_the_enumerated_sums(self, A):
+        ks = range(9)
+        for pivot in A:
+            reps = apery_set(A, pivot).reps
+            want = rep_power_sums(reps, ks)
+            assert apery_power_sums(A, pivot, ks) == want
+            # the closed form below the size at which apery_power_sums takes it
+            steps = [b for b in A if b % pivot]
+            shape = semigroup._seed(pivot, steps) if len(steps) < 3 else None
+            if shape is not None:
+                assert semigroup._shape_power_sums(shape, ks) == want
+            if 1 not in A:
+                assert frobenius_number(A, pivot) == max(reps) - pivot
+                assert sylvester_number(A, pivot) == sum(apery_set(A, pivot).gap_counts)
 
 
 class TestGapSet:
@@ -308,7 +349,9 @@ class TestGapStatistics:
     )
     def test_non_apery_reps_give_no_integer(self, monkeypatch, statistic, message):
         # (0, 1, 3) is not an Apery set: the identities give 1/3, not a count
-        monkeypatch.setattr(semigroup, "apery_set", lambda A, pivot: AperySet(3, (0, 1, 3)))
+        monkeypatch.setattr(
+            semigroup, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 1, 3)) for k in ks)
+        )
         with pytest.raises(ArithmeticError, match=message + " not an integer"):
             statistic(validate_generators([3, 5]))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sylsum import exactnum, sums
+from sylsum import exactnum, semigroup, sums
 from sylsum.combinatorics import bernoulli, eulerian
 from sylsum.exactnum import (
     DivideByZero,
@@ -23,9 +23,9 @@ from sylsum.exactnum import (
 )
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
-    AperySet,
     NotCoprime,
     apery_set,
+    frobenius_number,
     gap_set,
     sylvester_number,
     sylvester_sum,
@@ -568,8 +568,9 @@ class TestUnweightedFormula:
 
     def test_lemma_consistency_random(self):
         for A in random_instances(25, seed=47):
-            assert unweighted_power_sum(A, 0).value == sylvester_number(A)
-            assert unweighted_power_sum(A, 1).value == sylvester_sum(A)
+            gaps = gap_set(A)
+            assert unweighted_power_sum(A, 0).value == sylvester_number(A) == len(gaps)
+            assert unweighted_power_sum(A, 1).value == sylvester_sum(A) == sum(gaps)
 
     def test_matches_direct_power_sums(self):
         for A in random_instances(10, seed=53):
@@ -579,9 +580,39 @@ class TestUnweightedFormula:
 
     def test_wrong_apery_set_raises(self, monkeypatch):
         # 17 is not congruent to 1 mod 3, so the gap count comes out as 22/3
-        monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, 17, 8)))
+        monkeypatch.setattr(
+            sums, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
+        )
         with pytest.raises(ArithmeticError):
             unweighted_power_sum(validate_generators([3, 8]), 0)
+
+    @pytest.mark.parametrize(
+        "gens, builds", [((97, 131, 163), 0), ((7, 11), 0), ((1000, 1001, 1007, 2003), 1)]
+    )
+    def test_pairs_and_l_shapes_build_no_apery_list(self, monkeypatch, gens, builds):
+        A = validate_generators(gens)
+        gaps = gap_set(A)
+        calls = []
+        build = semigroup.apery_set
+
+        def spy(A, pivot=None):
+            calls.append(pivot)
+            return build(A, pivot)
+
+        monkeypatch.setattr(semigroup, "apery_set", spy)
+        monkeypatch.setattr(sums, "apery_set", spy)
+        for mu in range(3):
+            assert dispatch_sum(SumRequest(A, mu, 1)).value == sum(n**mu for n in gaps)
+            assert len(calls) == builds
+            calls.clear()
+        for statistic, want in [
+            (sylvester_number, len(gaps)),
+            (sylvester_sum, sum(gaps)),
+            (frobenius_number, max(gaps)),
+        ]:
+            assert statistic(A) == want
+            assert len(calls) == builds
+            calls.clear()
 
 
 def alternating_reference(A, pivot):
@@ -685,14 +716,13 @@ class TestThreeVarContext:
             ThreeVarContext(4, 6, 10)
 
     def test_closed_gap_statistics(self):
-        from sylsum.semigroup import frobenius_number
-
         for abc in [(6, 9, 10), (5, 15, 6), (3, 9, 10), (4, 12, 7)]:
             ctx = ThreeVarContext(*abc)
             A = validate_generators(abc)
-            assert ctx.frobenius() == frobenius_number(A)
-            assert ctx.genus() == sylvester_number(A)
-            assert ctx.gap_sum() == sylvester_sum(A)
+            gaps = gap_set(A)
+            assert ctx.frobenius() == frobenius_number(A) == max(gaps)
+            assert ctx.genus() == sylvester_number(A) == len(gaps)
+            assert ctx.gap_sum() == sylvester_sum(A) == sum(gaps)
 
 
 class TestClosedThreeVar:

@@ -81,10 +81,10 @@ def bernoulli(n: int) -> Fraction:
 
 def power_sum_table(n: int, k: int) -> list[int]:
     """[F_0(n), ..., F_k(n)] with F_j(n) = sum_{x<n} x**j (0**0 == 1): by
-    direct summation when n <= k + 1, else from Pascal's identity
-    n**(j+1) = sum_{x<n} ((x+1)**(j+1) - x**(j+1)) = sum_{i<=j} C(j+1, i) F_i(n),
-    one exact integer division per j."""
-    if n <= k + 1:
+    direct summation, n*k pows, when n <= k/2 (the two cost the same there),
+    else k*k/2 products, one exact division per j, by Pascal's identity
+    n**(j+1) = sum_{x<n} ((x+1)**(j+1) - x**(j+1)) = sum_{i<=j} C(j+1, i) F_i(n)."""
+    if 2 * n <= k:
         return [sum(map(pow, range(n), repeat(j))) for j in range(k + 1)]
     table: list[int] = []
     for j in range(k + 1):

@@ -179,8 +179,7 @@ def apery_set(A: GeneratorSet, pivot: int | None = None) -> AperySet:
     unreached = a * max(A)
     n = [unreached] * a
     n[0] = 0
-    seed = _seed(a, steps)
-    if seed:
+    if seed := _seed(a, steps):
         b, c, alpha, v, beta, w = seed
         steps = [d for d in steps if d not in (b, c)]
         for y in range(beta):
@@ -236,10 +235,8 @@ def _seed(a: int, steps: list[int]) -> tuple[int, ...] | None:
     if len(steps) == 1 and gcd(a, steps[0]) == 1:
         return steps[0], 0, a, 0, 1, 0
     for b, c in combinations(steps, 2):
-        if gcd(a, b, c) == 1:
-            shape = _l_shape(a, b, c)
-            if shape:
-                return (b, c, *shape)
+        if gcd(a, b, c) == 1 and (shape := _l_shape(a, b, c)):
+            return (b, c, *shape)
     return None
 
 
@@ -318,10 +315,8 @@ def sieve_representable(A: GeneratorSet, bound: int) -> list[bool]:
 
 def apery_power_sums(A: GeneratorSet, pivot: int | None, ks: Sequence[int]) -> tuple[int, ...]:
     """P_k = sum_i reps[i]**k for each k in ``ks``, over the Apery set of
-    ``pivot`` (default the least generator).
-
-    When :func:`_seed` writes the set from at most two steps, with
-    F_j(n) = sum_{x<n} x**j (``combinatorics.power_sum_table``),
+    ``pivot`` (default the least generator).  When :func:`_seed` writes the
+    set from at most two steps, with F_j(n) = sum_{x<n} x**j (``power_sum_table``),
 
         P_k = sum_j C(k, j) b**j c**(k-j) [F_j(alpha) F_{k-j}(beta)
                 - (F_j(alpha) - F_j(alpha-w)) (F_{k-j}(beta) - F_{k-j}(beta-v))].
@@ -331,13 +326,9 @@ def apery_power_sums(A: GeneratorSet, pivot: int | None, ks: Sequence[int]) -> t
     pivot exceeds 2*max(ks), plus 90 for an L.  Otherwise each P_k is one
     pass over ``apery_set(A, pivot).reps``.
     """
-    a = A.min if pivot is None else pivot
-    top = max(ks, default=0)
-    if a > 2 * top:
-        check_pivot(A, a)
-        steps = [b for b in A if b % a != 0]
-        if (len(steps) == 1 or len(steps) == 2 and a > 2 * top + 90) and (shape := _seed(a, steps)):
-            return _shape_power_sums(shape, ks)
+    a, shape = _closed_shape(A, pivot, max(ks, default=0))
+    if shape:
+        return _shape_power_sums(shape, ks)
     reps = apery_set(A, a).reps
     return tuple(sum(reps) if k == 1 else sum(map(pow, reps, repeat(k))) for k in ks)
 
@@ -346,7 +337,7 @@ def _shape_power_sums(shape: tuple[int, ...], ks: Sequence[int]) -> tuple[int, .
     """The closed form of :func:`apery_power_sums` on a shape of :func:`_seed`."""
     b, c, alpha, v, beta, w = shape
     top = max(ks, default=0)
-    if beta == 1:  # one row, and no corner
+    if beta == 1:  # one row, and no corner: one table, not the L's four
         row = power_sum_table(alpha, top)
         return tuple(b**k * row[k] for k in ks)
     (x, x_corner), (y, y_corner) = _scaled_sums(b, alpha, w, top), _scaled_sums(c, beta, v, top)
@@ -354,6 +345,18 @@ def _shape_power_sums(shape: tuple[int, ...], ks: Sequence[int]) -> tuple[int, .
         sum([comb(k, j) * (x[j] * y[k - j] - x_corner[j] * y_corner[k - j]) for j in range(k + 1)])
         for k in ks
     )
+
+
+def _closed_shape(A: GeneratorSet, pivot: int | None, top: int | None = None) -> tuple[int, tuple | None]:
+    """(a, shape): the pivot a, by default the least generator, and the shape
+    :func:`_seed` writes when a's steps are at most two, else None; given the
+    largest power ``top``, only above the size rule of :func:`apery_power_sums`."""
+    a = A.min if pivot is None else pivot
+    check_pivot(A, a)
+    steps = [b for b in A if b % a != 0]
+    if len(steps) > 2 or top is not None and a <= 2 * top + 90 * (len(steps) == 2):
+        return a, None
+    return a, _seed(a, steps)
 
 
 def _scaled_sums(b: int, n: int, corner: int, top: int) -> tuple[list[int], list[int]]:
@@ -364,15 +367,11 @@ def _scaled_sums(b: int, n: int, corner: int, top: int) -> tuple[list[int], list
 
 
 def frobenius_number(A: GeneratorSet, pivot: int | None = None) -> int | None:
-    """Largest gap, or None when the gap set is empty (1 is a generator):
-    the largest Apery element less the pivot, read off the end of the L's
-    top row or corner row when :func:`_seed` writes it from <= 2 steps."""
+    """Largest gap, or None when the gap set is empty (1 is a generator): the
+    largest Apery element less the pivot, read off an L of :func:`_closed_shape`."""
     if 1 in A:
         return None
-    a = A.min if pivot is None else pivot
-    check_pivot(A, a)
-    steps = [b for b in A if b % a != 0]
-    shape = _seed(a, steps) if len(steps) < 3 else None
+    a, shape = _closed_shape(A, pivot)
     if shape is None:
         return max(apery_set(A, a).reps) - a
     b, c, alpha, v, beta, w = shape

@@ -263,8 +263,7 @@ class TestAperyPowerSums:
             want = rep_power_sums(reps, ks)
             assert apery_power_sums(A, pivot, ks) == want
             # the closed form below the size at which apery_power_sums takes it
-            steps = [b for b in A if b % pivot]
-            shape = semigroup._seed(pivot, steps) if len(steps) < 3 else None
+            _, shape = semigroup._closed_shape(A, pivot)
             if shape is not None:
                 assert semigroup._shape_power_sums(shape, ks) == want
             if 1 not in A:

@@ -16,7 +16,9 @@ closed under adding each generator.  Tests play them against each other,
 and against the heap Dijkstra (Nijenhuis 1979) that round-robin replaced,
 which the tests keep as a reference.  The gap statistics need only the
 power sums P_k = sum_i reps[i]**k and the largest element, which a pair or
-an L-shaped triple gives in closed form, Faulhaber sums with no list.
+an L-shaped triple gives in closed form, Faulhaber sums with no list: one
+Bernoulli identity, :func:`gap_power_sum`, turns the P_k into the sum of
+n**mu over the gaps, the genus at mu = 0 and the gap sum at mu = 1.
 
 The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 ``sums`` and ``oracle`` are immutable records on the small base
@@ -25,13 +27,12 @@ The value classes here (``GeneratorSet``, ``AperySet``, ``GapSet``) and in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, combinations, count, repeat
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mod, mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import power_sum_table
+from .combinatorics import bernoulli, power_sum_table
 
 
 class EmptyGenerators(ValueError):
@@ -369,32 +370,52 @@ def _scaled_sums(b: int, n: int, corner: int, top: int) -> tuple[list[int], list
 def frobenius_number(A: GeneratorSet, pivot: int | None = None) -> int | None:
     """Largest gap, or None when the gap set is empty (1 is a generator): the
     largest Apery element less the pivot, read off an L of :func:`_closed_shape`."""
+    a, shape = _closed_shape(A, pivot)
     if 1 in A:
         return None
-    a, shape = _closed_shape(A, pivot)
     if shape is None:
         return max(apery_set(A, a).reps) - a
     b, c, alpha, v, beta, w = shape
     return max((alpha - 1) * b + (beta - v - 1) * c, (alpha - w - 1) * b + (beta - 1) * c) - a
 
 
-def sylvester_number(A: GeneratorSet, pivot: int | None = None) -> int:
-    """Number of gaps (the genus), via the Apery set identity
-    n(A) = (1/a) * P_1 - (a-1)/2 with P_1 of :func:`apery_power_sums`."""
+def gap_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> int:
+    """Sum of n**mu over the gaps, from the P_k of :func:`apery_power_sums`
+    at the pivot a (default the least generator); with m = mu+1 and P_0 = a,
+
+    a m * sum_{gaps n} n^mu = sum_{k=0}^{m} C(m,k) a^{m-k} B_{m-k} P_k - a B_m
+
+    Faulhaber's formula sums each residue class's gaps i, i+a, ..., reps[i]-a
+    and Raabe's theorem sum_{i<a} B_m(i/a) = a^{1-m} B_m the class starts
+    (Tuenter, J. Number Theory 117, 2006).  The B_b are scaled to integers
+    over one lcm, only the P_k with B_(m-k) != 0 are formed, and the total is
+    divided once.  At mu = 0 and 1 it is the genus and the gap sum.
+    """
     a = A.min if pivot is None else pivot
-    (p1,) = apery_power_sums(A, a, (1,))
-    value, rest = divmod(2 * p1 - a * (a - 1), 2 * a)
-    if rest:
-        raise ArithmeticError(f"genus {Fraction(rest, 2 * a) + value} of {A.gens} is not an integer")
+    m = mu + 1
+    B = [bernoulli(b) for b in range(m + 1)]
+    b_lcm = lcm(*(x.denominator for x in B))
+    by_b = [x.numerator * (b_lcm // x.denominator) for x in B]
+    ks = [k for k in range(1, m + 1) if by_b[m - k]]
+    total = by_b[m] * a * (a**m - 1)
+    for k, p_k in zip(ks, apery_power_sums(A, a, ks)):
+        total += comb(m, k) * a ** (m - k) * by_b[m - k] * p_k
+    value, rem = divmod(total, a * m * b_lcm)
+    if rem:
+        raise ArithmeticError(
+            f"sum of n**{mu} over the gaps of {A.gens} is not an integer:"
+            f" a remainder of {rem.bit_length()} bits"
+        )
     return value
+
+
+def sylvester_number(A: GeneratorSet, pivot: int | None = None) -> int:
+    """Number of gaps (the genus): :func:`gap_power_sum` at mu = 0, which is
+    n(A) = (1/a) * P_1 - (a-1)/2."""
+    return gap_power_sum(A, 0, pivot)
 
 
 def sylvester_sum(A: GeneratorSet, pivot: int | None = None) -> int:
-    """Sum of all gaps, via s(A) = (1/2a) * P_2 - (1/2) * P_1 + (a^2 - 1)/12
-    with the P_k of :func:`apery_power_sums`."""
-    a = A.min if pivot is None else pivot
-    p1, p2 = apery_power_sums(A, a, (1, 2))
-    value, rest = divmod(6 * p2 - 6 * a * p1 + a * (a * a - 1), 12 * a)
-    if rest:
-        raise ArithmeticError(f"gap sum {Fraction(rest, 12 * a) + value} of {A.gens} is not an integer")
-    return value
+    """Sum of all gaps: :func:`gap_power_sum` at mu = 1, which is
+    s(A) = (1/2a) * P_2 - (1/2) * P_1 + (a^2 - 1)/12."""
+    return gap_power_sum(A, 1, pivot)

@@ -11,7 +11,9 @@ structure of each class collapses into rational functions of lambda.
 
 Which formula applies depends on lambda:
 
-  * lambda**a != 1: the general Eulerian-number formula (any mu);
+  * lambda**a != 1: the general Eulerian-number formula (any mu), which
+    also runs the paper's mu = 1 and mu = 2 forms and its alternating
+    corollary (lambda = -1, mu = 1, a odd) at their fixed mu and weight;
   * lambda**a == 1, lambda != 1: a root-of-unity form for mu = 1;
   * lambda == 1: a Bernoulli-number form (any mu), pure power sums;
   * two and three generators additionally admit fully closed forms with
@@ -23,11 +25,11 @@ residue class for a root-of-unity weight, else by a Horner pass).  The
 general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
 integer basis; this module hands it the Apery set, L = lambda**a, the
 Eulerian rows and lambda's order ladder, and never sees the integer
-vectors.  The Bernoulli form needs only the plain Apery
-power sums P_k = sum_i reps[i]**k for k <= mu+1 (``semigroup.apery_power_sums``,
-in closed form for a pair or an L-shaped triple), combined in integers over
-one common denominator.  Every route returns its value in the weight's
-field, also when the value is rational.
+vectors.  The Bernoulli form is ``semigroup.gap_power_sum``, the same
+integer identity that gives the genus (mu = 0) and the gap sum (mu = 1): it
+needs only the plain Apery power sums P_k = sum_i reps[i]**k for k <= mu+1,
+in closed form for a pair or an L-shaped triple.  Every route returns its
+value in the weight's field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once: fixed mu, generator count
 and weight, and its conditions on powers of lambda (a pivot rule, or a
@@ -45,10 +47,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Callable
 
-from .combinatorics import bernoulli, eulerian
+from .combinatorics import eulerian
 from .exactnum import (
     FieldElement,
     Scalar,
@@ -63,9 +65,9 @@ from .semigroup import (
     NonPositive,
     NotCoprime,
     Record,
-    apery_power_sums,
     apery_set,
     check_pivot,
+    gap_power_sum,
     validate_generators,
 )
 
@@ -183,33 +185,7 @@ def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers
 
 
 def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    # The identity in unweighted_power_sum's docstring, times the lcm of the
-    # Bernoulli denominators.  Its k = 0 term (P_0 = a) and -a*B_m start the
-    # total; ``apery_power_sums`` gives each other P_k with B_(m-k) != 0 (in
-    # closed form for a pair or an L-shaped triple), and the total is divided once.
-    m = mu + 1
-    B = [bernoulli(b) for b in range(m + 1)]
-    b_lcm = lcm(*(x.denominator for x in B))
-    by_b = [x.numerator * (b_lcm // x.denominator) for x in B]
-    ks = [k for k in range(1, m + 1) if by_b[m - k]]
-    total = by_b[m] * a * (a**m - 1)
-    for k, p_k in zip(ks, apery_power_sums(A, a, ks)):
-        total += comb(m, k) * a ** (m - k) * by_b[m - k] * p_k
-    value, rem = divmod(total, a * m * b_lcm)
-    if rem:
-        raise ArithmeticError(
-            f"unweighted power sum is not an integer: a remainder of {rem.bit_length()} bits"
-        )
-    return lam.field.from_rational(value)
-
-
-def _alternating(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
-    # at lambda = -1 the two sums over i >= 1 are S[1] and S[0] - 1 (reps[0] = 0)
-    s0, s1 = (s.as_rational() for s in power_sums(lam, apery_set(A, a).reps, 1, power.ladder()))
-    value = Fraction(-s1, 2) + Fraction(a * (s0 - 1), 4) + Fraction(a - 1, 4)
-    if value.denominator != 1:
-        raise ArithmeticError(f"alternating sum {value} is not an integer")
-    return lam.field.from_rational(value)
+    return lam.field.from_rational(gap_power_sum(A, mu, a))
 
 
 def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
@@ -324,9 +300,7 @@ ROUTES: dict[Formula, _Route] = {
     ),
     Formula.UNWEIGHTED: _Route(_unweighted, weight=1, pivot=lambda lam, L: True, pivot_rule="any a"),
     # L = (-1)**a differs from 1 exactly when a is odd
-    Formula.ALTERNATING: _Route(
-        _alternating, mu=1, weight=-1, pivot=_non_unit_power, pivot_rule="a odd"
-    ),
+    Formula.ALTERNATING: _Route(_general, mu=1, weight=-1, pivot=_non_unit_power, pivot_rule="a odd"),
     Formula.TWO_VAR: _Route(_two_var, mu=1, units=(False, False)),
     Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, units=(False, True)),
     Formula.THREE_VAR: _Route(_three_var, mu=1, units=(False, False, False)),
@@ -460,25 +434,22 @@ def weighted_sum_mu1_rou(A: GeneratorSet, lam: Scalar, pivot: int | None = None)
 
 
 def unweighted_power_sum(A: GeneratorSet, mu: int, pivot: int | None = None) -> SumResult:
-    """Pure power sum over the gaps (weight 1), via Bernoulli numbers.
-
-    With m = mu+1 and P_k = sum_{i=0}^{a-1} reps[i]^k (so P_0 = a):
-
-    a m * sum_{gaps n} n^mu = sum_{k=0}^{m} C(m,k) a^{m-k} B_{m-k} P_k - a B_m
-
-    Faulhaber's formula in Bernoulli polynomials sums the gaps
-    i, i+a, ..., reps[i]-a of each residue class, and Raabe's
-    multiplication theorem sum_{i<a} B_m(i/a) = a^{1-m} B_m sums the class
-    starts.  The paper's (kappa, j) double sum of Theorem 5 gives the same
-    value and is this function's test reference.
+    """Pure power sum over the gaps (weight 1): the Bernoulli identity of
+    ``semigroup.gap_power_sum``, which at mu = 0 and 1 is also
+    ``sylvester_number`` and ``sylvester_sum``.  The paper's (kappa, j)
+    double sum of Theorem 5 gives the same value and is this function's test
+    reference.
     """
     return evaluate(Formula.UNWEIGHTED, A, mu, 1, pivot)
 
 
 def alternating_sum(A: GeneratorSet, pivot: int | None = None) -> SumResult:
-    """sum (-1)^n n over the gaps, via an odd pivot a:
+    """Corollary 1, sum (-1)^n n over the gaps, via an odd pivot a:
 
     -(1/2) sum (-1)^{reps[i]} reps[i] + (a/4) sum (-1)^{reps[i]} + (a-1)/4
+
+    It is Theorem 1 at mu = 1 and lambda = -1, where L = (-1)^a = -1, and is
+    evaluated by ``exactnum.eulerian_sum`` at that fixed mu and weight.
     """
     return evaluate(Formula.ALTERNATING, A, 1, -1, pivot)
 

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sylsum
-from sylsum import cli, exactnum, sums
+from sylsum import cli, exactnum, semigroup, sums
 from sylsum.cli import ParseError, parse_element, parse_lambda, run_command
 from sylsum.exactnum import (
     QQ,
@@ -242,7 +242,7 @@ class TestCliContract:
         # 17 is not congruent to 1 mod 3, so the weight-1 sum fails its
         # integrality check: an internal error, not a traceback
         monkeypatch.setattr(
-            sums, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
+            semigroup, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
         )
         code, out, err = run(capsys, "sum", "--gens", "3,8", "--mu", "0", "--lambda", "1")
         assert code == 5
@@ -622,16 +622,17 @@ class TestEntryPoint:
 
     def test_closed_stdout_exits_141_without_traceback(self):
         # the reader stops after a few bytes of about 480 kB, as `| head -c 10` does
-        proc = subprocess.Popen(
+        # leaving the with block closes both pipes
+        with subprocess.Popen(
             [sys.executable, "-m", "sylsum", "gaps", "--gens", "400,401", "--format", "text"],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.read(10) == b"1,2,3,4,5,"
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert (proc.wait(timeout=120), stderr) == (141, b"")
+        ) as proc:
+            assert proc.stdout.read(10) == b"1,2,3,4,5,"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=120), stderr) == (141, b"")
 
     def test_import_loads_no_dataclasses(self):
         # the CLI's imports add neither module to what a bare interpreter has

@@ -212,7 +212,7 @@ def test_closed_form_matches_the_enumerated_apery_set(monkeypatch, gens):
         gap_sum = sum(g * m - pivot * g * (g + 1) // 2 for m, g in zip(ap.reps, ap.gap_counts))
         assert statistics == (max(ap.reps) - pivot, sum(ap.gap_counts), gap_sum)
         with monkeypatch.context() as m:
-            m.setattr(sums, "apery_power_sums", lambda A, pivot, ks: rep_power_sums(ap.reps, ks))
+            m.setattr(semigroup, "apery_power_sums", lambda A, pivot, ks: rep_power_sums(ap.reps, ks))
             assert values == [unweighted_power_sum(A, mu, pivot).value for mu in range(4)]
 
 

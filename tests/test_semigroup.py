@@ -12,10 +12,12 @@ from sylsum.semigroup import (
     EmptyGenerators,
     GeneratorSet,
     NonPositive,
+    NotAGenerator,
     NotCoprime,
     apery_power_sums,
     apery_set,
     frobenius_number,
+    gap_power_sum,
     gap_set,
     sieve_representable,
     sylvester_number,
@@ -268,7 +270,12 @@ class TestAperyPowerSums:
                 assert semigroup._shape_power_sums(shape, ks) == want
             if 1 not in A:
                 assert frobenius_number(A, pivot) == max(reps) - pivot
-                assert sylvester_number(A, pivot) == sum(apery_set(A, pivot).gap_counts)
+            # the gaps of class i are reps[i] - pivot, reps[i] - 2*pivot, ...
+            gaps = [n for m in reps for n in range(m - pivot, 0, -pivot)]
+            assert len(gaps) == sum(apery_set(A, pivot).gap_counts)
+            for mu in range(5):
+                assert gap_power_sum(A, mu, pivot) == sum(n**mu for n in gaps)
+            assert (sylvester_number(A, pivot), sylvester_sum(A, pivot)) == (len(gaps), sum(gaps))
 
 
 class TestGapSet:
@@ -342,17 +349,22 @@ class TestGapStatistics:
             assert sylvester_number(A) == len(gaps)
             assert sylvester_sum(A) == sum(gaps)
 
-    @pytest.mark.parametrize(
-        "statistic, message",
-        [(sylvester_number, r"genus 1/3 of \(3, 5\) is"), (sylvester_sum, r"gap sum 1/3 of \(3, 5\) is")],
-    )
-    def test_non_apery_reps_give_no_integer(self, monkeypatch, statistic, message):
-        # (0, 1, 3) is not an Apery set: the identities give 1/3, not a count
+    @pytest.mark.parametrize("statistic, mu", [(sylvester_number, 0), (sylvester_sum, 1)])
+    def test_non_apery_reps_give_no_integer(self, monkeypatch, statistic, mu):
+        # (0, 1, 3) is not an Apery set: the identity gives 1/3, not a count
         monkeypatch.setattr(
             semigroup, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 1, 3)) for k in ks)
         )
-        with pytest.raises(ArithmeticError, match=message + " not an integer"):
+        message = rf"^sum of n\*\*{mu} over the gaps of \(3, 5\) is not an integer: a remainder of \d+ bits$"
+        with pytest.raises(ArithmeticError, match=message):
             statistic(validate_generators([3, 5]))
+
+    @pytest.mark.parametrize("statistic", [frobenius_number, sylvester_number, sylvester_sum])
+    @pytest.mark.parametrize("pivot", [0, 7])
+    @pytest.mark.parametrize("gens", [(3, 5), (1, 4)])  # (1, 4) has no gaps
+    def test_non_generator_pivot_rejected(self, statistic, pivot, gens):
+        with pytest.raises(NotAGenerator, match=f"pivot {pivot} is not a generator of"):
+            statistic(validate_generators(gens), pivot)
 
     def test_two_generator_closed_forms(self):
         for a in range(2, 31):

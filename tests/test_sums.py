@@ -414,9 +414,13 @@ class TestTheorem1Evaluation:
             with pytest.raises(ArithmeticError, match="is not an integer"):
                 route(A, Fraction(-3, 2))
 
-    @pytest.mark.parametrize("formula, mu", [(Formula.MU1, 1), (Formula.MU2, 2)])
+    @pytest.mark.parametrize(
+        "formula, mu", [(Formula.MU1, 1), (Formula.MU2, 2), (Formula.ALTERNATING, 1)]
+    )
     def test_fixed_mu_routes_run_theorem_1(self, monkeypatch, formula, mu):
-        # one Theorem 1 evaluation at the route's pivot, and no S[t] formed apart
+        # one Theorem 1 evaluation at the route's pivot, and no S[t] formed
+        # apart; Corollary 1 runs at its own weight -1, where the pivot 5 is odd
+        lam = sums.ROUTES[formula].weight or Fraction(-3, 2)
         pivots, power_sum_calls = [], []
         evaluator, power_sums_ = sums.eulerian_sum, sums.power_sums
         monkeypatch.setattr(
@@ -425,10 +429,10 @@ class TestTheorem1Evaluation:
         monkeypatch.setattr(
             sums, "power_sums", lambda *args: power_sum_calls.append(args) or power_sums_(*args)
         )
-        result = sums.evaluate(formula, A4, mu, Fraction(-3, 2))
+        result = sums.evaluate(formula, A4, mu, lam)
         assert (result.formula_used, result.pivot_used) == (formula, 5)
         assert (pivots, power_sum_calls) == ([5], [])
-        assert result.value == brute_force_weighted_sum(A4, mu, Fraction(-3, 2))
+        assert result.value == brute_force_weighted_sum(A4, mu, lam)
 
     def test_no_gcd_of_two_long_integers(self, monkeypatch):
         # the value has about 231,000 bits; its denominator is 2**F
@@ -581,7 +585,7 @@ class TestUnweightedFormula:
     def test_wrong_apery_set_raises(self, monkeypatch):
         # 17 is not congruent to 1 mod 3, so the gap count comes out as 22/3
         monkeypatch.setattr(
-            sums, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
+            semigroup, "apery_power_sums", lambda A, pivot, ks: tuple(sum(m**k for m in (0, 17, 8)) for k in ks)
         )
         with pytest.raises(ArithmeticError):
             unweighted_power_sum(validate_generators([3, 8]), 0)
@@ -1043,5 +1047,10 @@ class TestPivotPower:
     @pytest.mark.parametrize("route", ["unweighted", "alternating"])
     @pytest.mark.parametrize("gens", [(4, 6, 9), (1000, 1001, 1007, 2003)])
     def test_fixed_weight_routes_form_no_power(self, pow_exponents, route, gens):
+        # the pivot rules read the int weight**a and form no power; the
+        # weight-1 body forms none either, while the alternating body
+        # (Theorem 1) forms lambda**a at its pivot, the least odd generator,
+        # and the tail's 1/(lambda-1)**2
+        formed = {(4, 6, 9): [9, 2], (1000, 1001, 1007, 2003): [1001, 2]}
         PIVOT_ROUTES[route](validate_generators(gens), None)
-        assert pow_exponents == []
+        assert pow_exponents == ([] if route == "unweighted" else formed[gens])

@@ -19,7 +19,10 @@ integer product of factors (1 - x**e)**(+-1), e | n.  On the same integers
 at once (by residue class when lam is a root of unity, else by a Horner
 walk), and ``eulerian_sum`` the general formula (Theorem 1): its main sum
 and its lambda term (a field product) over one common denominator, reduced
-once.  In a field of degree 1 an element is one int over d, so the walk
+once.  ``eulerian_sum`` also takes an Apery set written as a grid of one
+or two steps (a row or a rectangle); for a lam with no order found its
+power sums then have a closed form of O(mu**2) products, with no walk and
+no list.  In a field of degree 1 an element is one int over d, so the walk
 and the main sum run on plain ints, with no matrices, and that one
 reduction is an exact division by known factors (the value times d**f is
 an integer, f the Frobenius number), with no gcd of two long integers.
@@ -398,27 +401,14 @@ class FieldElement:
         """
         if self.is_zero():
             raise DivideByZero(f"zero has no inverse in {self.field.label}")
-        n = self.field.degree
-        if n == 1:  # den / p, already in lowest terms
+        if self.field.degree == 1:  # den / p, already in lowest terms
             p = self.num[0]
             return _reduced(self.field, (self.den if p > 0 else -self.den,), abs(p))
-        rows = [[*row, int(i == 0)] for i, row in enumerate(_imatrix(self.num, self.field.g))]
-        prev = 1
-        for k in range(n):
-            p = next((i for i in range(k, n) if rows[i][k]), None)
-            if p is None:
-                raise ZeroDivisor(
-                    f"{self!r} is a zero divisor modulo {_poly_str(self.field.modulus)}"
-                )
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot = rows[k]
-            pk = pivot[k]
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
-            prev = pk
-        return FieldElement(self.field, [self.den * row[n] for row in rows], prev)
+        solved = _adjugate(self.num, self.field.g)
+        if solved is None:
+            raise ZeroDivisor(f"{self!r} is a zero divisor modulo {_poly_str(self.field.modulus)}")
+        w, D = solved
+        return FieldElement(self.field, [self.den * x for x in w], D)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -463,11 +453,38 @@ class FieldElement:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
+            return hash(_lowest_terms(self.num[0], self.den))
         return hash((self.field.modulus, self.num, self.den))
 
     def __repr__(self):
         return f"<{pretty_str(self)} in {self.field.label}>"
+
+
+def _adjugate(q: Sequence[int], g: Sequence[int]) -> tuple[list[int], int] | None:
+    """(w, D) with q * w == D (mod g), or None when q is 0 or divides zero.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | e0], M the
+    integer matrix of multiplication by q, ends at [D*I | w] with D = +-det M
+    and every division exact; M is singular exactly when q divides zero.
+    """
+    n = len(q)
+    if n == 1:  # q * 1 == q
+        return ([1], q[0]) if q[0] else None
+    rows = [[*row, int(i == 0)] for i, row in enumerate(_imatrix(q, g))]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        pk = pivot[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = pk
+    return [row[n] for row in rows], prev
 
 
 def _lowest_terms(num: int, den: int) -> Fraction:
@@ -657,6 +674,110 @@ def _combine(row: list[tuple[int, int]], H: list[list[int]], mu: int) -> list[in
     return [0] * (mu + 1) if acc is None else list(acc)
 
 
+def _grid_sums(lam: FieldElement, grid: dict[int, int], mu: int) -> tuple[list[list[int]], int] | None:
+    """(H, D) as ``_apery_sums`` gives them, in closed form, over the Apery
+    set {sum_s x_s * s : 0 <= x_s < grid[s]}, or None when lam**s - 1 is 0
+    or divides zero for some step s (the walk then runs).
+
+    With lam = P/d, Z = P**s mod g and delta = d**s, one step s taken
+    n = grid[s] times gives T_j = sum_{x<n} x**j Z**x delta**(n-1-x) from
+    (delta - Z) T_0 = delta**n - Z**n and, for j >= 1,
+
+      (delta - Z) T_j = delta sum_{i<j} C(j,i) (-1)**(j-1-i) T_i
+                        + (-1)**j delta**n - (n-1)**j Z**n,
+
+    each an exact division by delta - Z (``_adjugate``, then a division by
+    its determinant; a remainder raises ``ArithmeticError``).  Z and delta
+    are first divided by their gcd, as a walk step is.  The steps combine
+    by the binomial theorem, H_t = sum_j C(t,j) s**j T_j H'_{t-j} for H'
+    the steps before, over D = prod_s delta**(grid[s] - 1), which in degree
+    1 is the walk's d**E, E = sum_s (grid[s] - 1) * s the largest element.
+    That is O(mu**2) products, whatever the size of the set.
+    """
+    g, P, d = lam.field.g, lam.num, lam.den
+    steps = []
+    for s, n in grid.items():
+        Q, e = _ipower(P, s, g), d**s
+        t = gcd(e, *Q)  # lam**s = Z/delta
+        Z, delta = [q // t for q in Q], e // t
+        solved = _adjugate([delta - Z[0], *(-z for z in Z[1:])], g)
+        if solved is None:
+            return None
+        steps.append((s, n, Z, delta, solved))
+    binomials = [[comb(t, j) for j in range(t + 1)] for t in range(mu + 1)]
+    H, scale = None, 1
+    for s, n, Z, delta, (w, det) in steps:
+        cols, delta_top = _step_sums(g, Z, delta, n, binomials, w, det)
+        U = [[s**j * x for x in T] for j, T in enumerate(zip(*cols))]  # s**j T_j
+        if H is None:
+            H = U
+        else:  # H_t = [U_0 | U_1 | ...] times [C(t,0) H_t; C(t,1) H_{t-1}; ...]
+            mats = [_imatrix(u, g) for u in U]
+            rows = [[x for m in mats for x in m[i]] for i in range(len(P))]
+            H = [
+                _apply(rows, [c * x for c, h in zip(binom, H[t::-1]) for x in h])
+                for t, binom in enumerate(binomials)
+            ]
+        scale *= delta_top
+    return H, scale
+
+
+def _step_sums(
+    g: Sequence[int],
+    Z: list[int],
+    delta: int,
+    n: int,
+    binomials: list[list[int]],
+    w: list[int],
+    det: int,
+) -> tuple[list[list[int]], int]:
+    """(T, delta**(n-1)) for one step of :func:`_grid_sums`, T coordinate-major
+    (T[i][j] is coordinate i of T_j), given (delta - Z) * w == det (mod g)
+    and ``binomials``, the rows C(j, 0..j) of Pascal's triangle for j <= mu."""
+    W = _imatrix(w, g)
+    delta_top = delta ** (n - 1)
+    Zn, delta_n = _ipower(Z, n, g), delta_top * delta
+    T: list[list[int]] = [[] for _ in Z]
+    k, sign = 1, 1  # (n-1)**j, (-1)**j
+    for j, row in enumerate(binomials):
+        signed = [c if (j - i) % 2 else -c for i, c in enumerate(row[:j])]  # C(j,i) (-1)**(j-1-i)
+        rhs = [delta * sum(map(mul, signed, col)) - k * z for col, z in zip(T, Zn)]
+        rhs[0] += sign * delta_n
+        for col, x in zip(T, _apply(W, rhs) if len(W) > 1 else rhs):  # w == [1] in degree 1
+            q, r = divmod(x, det)
+            if r:
+                raise ArithmeticError(
+                    f"a closed-form Apery power sum left a remainder of {r.bit_length()} bits"
+                )
+            col.append(q)
+        k *= n - 1
+        sign = -sign
+    return T, delta_top
+
+
+def _apery_source(
+    lam: FieldElement, apery: Iterable[int] | dict[int, int], mu: int, coords: list[tuple[int, ...]]
+) -> tuple[list[list[int]], int, int]:
+    """(H, D) as ``_apery_sums`` gives them, and the largest Apery element,
+    from the Apery list or a grid {step: count} (see :func:`_grid_sums`).
+    A grid takes the closed form when lam has no order found and every
+    lam**step - 1 is invertible, and is otherwise written out as a list."""
+    if isinstance(apery, dict):
+        if mu < 0:
+            raise ValueError("mu must be nonnegative")
+        closed = None if coords else _grid_sums(lam, apery, mu)
+        if closed is not None:
+            return (*closed, sum((n - 1) * s for s, n in apery.items()))
+        elements = [0]
+        for s, n in apery.items():
+            elements = [m + x * s for x in range(n) for m in elements]
+        apery = elements
+    exps = _sorted_exponents(apery, mu)
+    if not exps:
+        raise ValueError("exponents must be nonempty")
+    return (*_apery_sums(lam, exps, mu, coords), exps[0])
+
+
 def _sorted_exponents(exponents: Iterable[int], mu: int) -> list[int]:
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -689,7 +810,7 @@ def power_sums(
 
 def eulerian_sum(
     lam: FieldElement,
-    exponents: Iterable[int],
+    apery: Iterable[int] | dict[int, int],
     mu: int,
     a: int,
     L: FieldElement,
@@ -703,10 +824,11 @@ def eulerian_sum(
         + (-1)**(mu+1) A_mu(lam) / (lam-1)**(mu+1),
 
     where A_n(t) = sum_j eulerian_rows[n][j] * t**j.  It is evaluated on
-    integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from the same
-    source as ``power_sums``, residue buckets or Horner walk, on lam's
-    ``order_ladder``: ``ladder``, built here when None), with the main sum
-    and the lambda term over one common denominator, reduced once:
+    integer vectors modulo g (lam = P(y)/d, H_t = D * S[t] from residue
+    buckets when lam's ``order_ladder`` (``ladder``, built here when None)
+    stops at an order, else in closed form from a grid (``_grid_sums``), or
+    by the Horner walk), with the main sum and the lambda term over one
+    common denominator, reduced once:
 
       * L = U/V in lowest terms (as every ``FieldElement`` is), and
         A_n(L) = N_n / V**n with N_n = sum_j E_nj U**j V**(n-j)
@@ -727,21 +849,25 @@ def eulerian_sum(
         T = sum_j E_mu,j P**j d**(mu-j), whose numbers are small;
       * the two are cross-multiplied over N**(mu+1) D * tail.den.  In degree
         2 and up one normalising ``FieldElement`` reduces the result.  In
-        degree 1, lam = p/d and D = d**max(exps); every gap is at most the
-        Frobenius number f = max(exps) - a, so the value times d**f is an
-        integer X, and one exact division by N**(mu+1) * tail.den * d**a
-        gives it.  A nonzero remainder raises ``ArithmeticError``: Theorem
-        1's identity fails.  X / d**f is then brought to lowest terms by
-        gcds of numbers no larger than d, with no gcd of two long integers.
+        degree 1, lam = p/d and D = d**m, m the largest Apery element; every
+        gap is at most the Frobenius number f = m - a, so the value times
+        d**f is an integer X, and one exact division by
+        N**(mu+1) * tail.den * d**a gives it.  A nonzero remainder raises
+        ``ArithmeticError``: Theorem 1's identity fails.  X / d**f is then
+        brought to lowest terms by gcds of numbers no larger than d, with no
+        gcd of two long integers.
 
-    ``exponents`` must be the Apery set of a (nonempty, as it holds 0): in
-    a field of degree 1 another list raises ``ArithmeticError`` unless the
-    formula's value happens to be an integer over d**f.  L and lam must
-    differ from 1.
+    ``apery`` must be the Apery set of a, given one of two ways:
+      * its elements, in any order (nonempty, as it holds 0);
+      * a grid {step: count} (``semigroup.apery_grid``), a row or a
+        rectangle whose elements are the sums sum_s x_s * step_s with
+        0 <= x_s < count_s.  Its power sums come in closed form when lam
+        has no order found and no lam**step - 1 is 0 or a zero divisor;
+        otherwise the grid is written out as a list.
+    In a field of degree 1 another set raises ``ArithmeticError`` unless
+    the formula's value happens to be an integer over d**f.  L and lam
+    must differ from 1.
     """
-    exps = _sorted_exponents(exponents, mu)
-    if not exps:
-        raise ValueError("exponents must be nonempty")
     field = lam.field
     g, P, d = field.g, lam.num, lam.den
     U, V = L.num, L.den
@@ -749,7 +875,7 @@ def eulerian_sum(
     coords = _ladder_coords(ladder, d)
     W, N = _over(_inverse_minus_one(L, a, lam, coords), V)
     lam1_inv = _inverse_minus_one(lam, 1, lam, coords)
-    H, scale = _apery_sums(lam, exps, mu, coords)
+    H, scale, top = _apery_source(lam, apery, mu, coords)
 
     W_rows = _imatrix(W, g)
     acc = [0] * len(P)
@@ -779,13 +905,13 @@ def eulerian_sum(
     num = [V * x * tail.den + sign * t * main_den for x, t in zip(_apply(W_rows, acc), tail.num)]
     if len(P) > 1:
         return FieldElement(field, num, main_den * tail.den)
-    # Degree 1: every gap is at most the Frobenius number f = max(exps) - a,
-    # so the value times d**f is an integer X, and D = d**max(exps) (d == 1
-    # when the buckets ran, for lam == -1).
-    den = d ** max(exps[0] - a, 0)
+    # Degree 1: every gap is at most the Frobenius number f = top - a, so
+    # the value times d**f is an integer X, and D = d**top (d == 1 when the
+    # buckets ran, for lam == -1).
+    den = d ** max(top - a, 0)
     X, rem = divmod(num[0], N_pow * tail.den * (scale // den))
     if rem:
-        raise ArithmeticError(f"Theorem 1's value times d**{exps[0] - a} is not an integer")
+        raise ArithmeticError(f"Theorem 1's value times d**{top - a} is not an integer")
     # every prime of den divides d, so gcd(d, den, X) == 1 is lowest terms
     while X and (k := gcd(d, den, X % d)) > 1:
         X //= k

@@ -322,10 +322,8 @@ def apery_power_sums(A: GeneratorSet, pivot: int | None, ks: Sequence[int]) -> t
         P_k = sum_j C(k, j) b**j c**(k-j) [F_j(alpha) F_{k-j}(beta)
                 - (F_j(alpha) - F_j(alpha-w)) (F_{k-j}(beta) - F_{k-j}(beta-v))].
 
-    That is k + 1 products, each about two pows of a list pass, and an L's
-    relations and tables cost about a 90-element pass; so it runs when the
-    pivot exceeds 2*max(ks), plus 90 for an L.  Otherwise each P_k is one
-    pass over ``apery_set(A, pivot).reps``.
+    It runs above the size rule of :func:`_closed_shape` for the largest k;
+    otherwise each P_k is one pass over ``apery_set(A, pivot).reps``.
     """
     a, shape = _closed_shape(A, pivot, max(ks, default=0))
     if shape:
@@ -348,16 +346,60 @@ def _shape_power_sums(shape: tuple[int, ...], ks: Sequence[int]) -> tuple[int, .
     )
 
 
-def _closed_shape(A: GeneratorSet, pivot: int | None, top: int | None = None) -> tuple[int, tuple | None]:
+# The closed forms' size rule: a closed form runs when the pivot a exceeds
+# slope * top + intercept, top the largest power summed, keyed by
+# (weighted, number of steps).  Each line is the measured crossover below
+# which building the Apery list and passing over it is faster:
+#   * weight 1, a row: k + 1 products per P_k, each about two pows of a
+#     list pass;
+#   * weight 1, an L: its relations, four tables and corner products cost
+#     about a 90-element pass;
+#   * weighted, a row or a rectangle: O(mu**2) big-number products
+#     (``exactnum._grid_sums``) against one Horner step per element for
+#     each of the mu + 1 sums; at mu = 1, 6, 20 and 40 the crossovers were
+#     a = 3, 12, 25 and 42 for a row, 14, 32, 66 and 130 for a rectangle.
+_SIZE_RULE = {
+    (False, 1): (2, 0),
+    (False, 2): (2, 90),
+    (True, 1): (1, 6),
+    (True, 2): (3, 14),
+}
+
+
+def _closed_shape(
+    A: GeneratorSet, pivot: int | None, top: int | None = None, weighted: bool = False
+) -> tuple[int, tuple | None]:
     """(a, shape): the pivot a, by default the least generator, and the shape
-    :func:`_seed` writes when a's steps are at most two, else None; given the
-    largest power ``top``, only above the size rule of :func:`apery_power_sums`."""
+    :func:`_seed` writes when a's steps are at most two, else None.  Given
+    the largest power ``top``, only above the size rule ``_SIZE_RULE``; a
+    ``weighted`` shape must also have no corner (v * w == 0), a row or a
+    rectangle."""
     a = A.min if pivot is None else pivot
     check_pivot(A, a)
     steps = [b for b in A if b % a != 0]
-    if len(steps) > 2 or top is not None and a <= 2 * top + 90 * (len(steps) == 2):
+    if not 0 < len(steps) <= 2:
         return a, None
-    return a, _seed(a, steps)
+    if top is not None:
+        slope, intercept = _SIZE_RULE[weighted, len(steps)]
+        if a <= slope * top + intercept:
+            return a, None
+    shape = _seed(a, steps)
+    if weighted and shape and shape[3] * shape[5]:  # v * w != 0: a corner
+        return a, None
+    return a, shape
+
+
+def apery_grid(A: GeneratorSet, pivot: int, mu: int) -> dict[int, int] | None:
+    """The Apery set of ``pivot`` as a grid {step: count}, the sums
+    sum_s x_s * s over 0 <= x_s < count, when it is a row or a rectangle
+    above the size rule for weighted power sums up to mu (see
+    :func:`_closed_shape`), else None.  A step taken once adds nothing and
+    is left out."""
+    _, shape = _closed_shape(A, pivot, mu, weighted=True)
+    if shape is None:
+        return None
+    b, c, alpha, _, beta, _ = shape
+    return {s: n for s, n in ((b, alpha), (c, beta)) if n > 1}
 
 
 def _scaled_sums(b: int, n: int, corner: int, top: int) -> tuple[list[int], list[int]]:

@@ -21,14 +21,18 @@ Which formula applies depends on lambda:
 
 The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
 weighted formulas consume come from exact integers, all t at once (by
-residue class for a root-of-unity weight, else by a Horner pass).  The
-general formula is evaluated whole by ``exactnum.eulerian_sum`` in the same
-integer basis; this module hands it the Apery set, L = lambda**a, the
-Eulerian rows and lambda's order ladder, and never sees the integer
-vectors.  The Bernoulli form is ``semigroup.gap_power_sum``, the same
-integer identity that gives the genus (mu = 0) and the gap sum (mu = 1): it
-needs only the plain Apery power sums P_k = sum_i reps[i]**k for k <= mu+1,
-in closed form for a pair or an L-shaped triple.  Every route returns its
+residue class for a root-of-unity weight, else by a Horner pass, or in
+closed form for a row or a rectangle).  The general formula is evaluated
+whole by ``exactnum.eulerian_sum`` in the same integer basis; this module
+hands it the Apery set, L = lambda**a, the Eulerian rows and lambda's order
+ladder, and never sees the integer vectors.  A pair, or a triple whose
+Apery set is a rectangle (a | lcm(b, c) among them), hands the set over as
+the grid ``semigroup.apery_grid`` reads off its shape, with no list, once
+the pivot is above the size rule of ``semigroup._closed_shape``.  The
+Bernoulli form is ``semigroup.gap_power_sum``, the same integer identity
+that gives the genus (mu = 0) and the gap sum (mu = 1): it needs only the
+plain Apery power sums P_k = sum_i reps[i]**k for k <= mu+1, in closed
+form for a pair or an L-shaped triple.  Every route returns its
 value in the weight's field, also when the value is rational.
 
 ``ROUTES`` declares each formula's domain once: fixed mu, generator count
@@ -65,6 +69,7 @@ from .semigroup import (
     NonPositive,
     NotCoprime,
     Record,
+    apery_grid,
     apery_set,
     check_pivot,
     gap_power_sum,
@@ -175,7 +180,8 @@ class _Powers:
 
 def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
-    return eulerian_sum(lam, apery_set(A, a).reps, mu, a, power(a), rows, power.ladder())
+    apery = apery_grid(A, a, mu) or apery_set(A, a).reps
+    return eulerian_sum(lam, apery, mu, a, power(a), rows, power.ladder())
 
 
 def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:

@@ -265,9 +265,10 @@ class TestCliContract:
 
     def test_internal_value_error_exit_5(self, capsys, monkeypatch):
         # a negative Apery element reaches the power-sum kernel, whose
-        # "exponents must be nonnegative" is an internal error, not bad input
+        # "exponents must be nonnegative" is an internal error, not bad input;
+        # <3, 4, 5> is an L-shape with a corner, so it reads its Apery list
         monkeypatch.setattr(sums, "apery_set", lambda A, pivot=None: AperySet(3, (0, -4, 8)))
-        code, out, err = run(capsys, "sum", "--gens", "3,8", "--mu", "1", "--lambda", "2")
+        code, out, err = run(capsys, "sum", "--gens", "3,4,5", "--mu", "1", "--lambda", "2")
         assert (code, out) == (5, "")
         assert json.loads(err) == {"error": "ValueError", "message": "exponents must be nonnegative"}
 

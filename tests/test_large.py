@@ -3,7 +3,7 @@
 Deselected by default; run with ``python -m pytest -q -m large``.  With no
 oracle in reach, the Apery sets are held to the Dijkstra reference and to
 the sieve, the closed forms of pairs and L-shaped triples to their Apery
-lists, and the sums and statistics to pivot independence: every pivot
+lists and the Horner walk, and the sums and statistics to pivot independence: every pivot
 gives a different Apery set and a different rational function, but the same
 value.  The fixed-mu routes are held to Theorems 2 and 3 as the paper
 writes them.
@@ -22,14 +22,17 @@ from sylsum.exactnum import (
     FieldElement,
     NumberField,
     _apery_horner,
+    _grid_sums,
     canonical_str,
     element_from_obj,
     power_sums,
+    quadratic_field,
     to_element,
     zeta,
 )
 from sylsum.oracle import brute_force_weighted_sum
 from sylsum.semigroup import (
+    apery_grid,
     apery_power_sums,
     apery_set,
     frobenius_number,
@@ -240,3 +243,49 @@ def test_degree_400_weight_inverts_nothing(capsys, inverse_calls):
     want = sum((n * lam**n for n in (1, 2, 4, 7)), lam.field.zero)
     assert want == brute_force_weighted_sum(A, 1, lam)
     assert element_from_obj(json.loads(out)["result"]) == want
+
+
+# weights of infinite order, whose Apery power sums come from the walk or,
+# on a row or a rectangle, in closed form
+GRID_WEIGHTS = [
+    to_element(Fraction(-3, 2)),
+    to_element(Fraction(5, 7)),
+    quadratic_field(5).element([Fraction(1, 2), Fraction(1, 2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, grid, lam, mu",
+    [((1000, 1008, 1125), {1008: 125, 1125: 8}, lam, mu) for lam in GRID_WEIGHTS for mu in (1, 2, 3)]
+    # the walk over a pair's 1,009 elements of up to 1,019,096 takes seconds
+    + [((1009, 1013), {1013: 1009}, GRID_WEIGHTS[0], 1)],
+    ids=str,
+)
+def test_grid_closed_form_matches_the_walk(gens, grid, lam, mu):
+    # 1000 = 8 * 125 divides lcm(1008, 1125): the Apery set is a rectangle
+    A = validate_generators(gens)
+    assert apery_grid(A, A.min, mu) == grid
+    closed, scale = _grid_sums(lam, grid, mu)
+    H, walk_scale = _apery_horner(lam, sorted(apery_set(A, A.min).reps, reverse=True), mu)
+    if lam.field.degree == 1:
+        assert (closed, scale) == (H, walk_scale)
+    else:
+        got = [FieldElement(lam.field, h, scale) for h in closed]
+        assert got == [FieldElement(lam.field, h, walk_scale) for h in H]
+
+
+@pytest.mark.parametrize(
+    "gens, lam, mu",
+    [((1009, 1013), lam, mu) for lam in GRID_WEIGHTS for mu in (1, 2, 3)]
+    # 3782 = 61*62, 3843 = 61*63, 3906 = 62*63: a rectangle at every pivot
+    + [((3782, 3843, 3906), lam, mu) for lam, mu in zip(GRID_WEIGHTS, (1, 2, 3))]
+    + [((10100, 10300, 10403), lam, 1) for lam in GRID_WEIGHTS],
+    ids=str,
+)
+def test_weighted_pivot_independence_on_rows_and_rectangles(monkeypatch, gens, lam, mu):
+    def no_list(A, pivot=None):
+        raise AssertionError("a row or a rectangle builds no Apery list")
+
+    monkeypatch.setattr(sums, "apery_set", no_list)
+    A = validate_generators(gens)
+    assert len({weighted_power_sum(A, mu, lam, pivot).value for pivot in A}) == 1

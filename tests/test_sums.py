@@ -335,6 +335,141 @@ class TestPowerSumProviders:
         assert [FieldElement(lam.field, h, scale) for h in H] == power_sums(lam, exps, 1)
 
 
+def _grid(shape):
+    """The grid {step: count} of a row or rectangle shape, as
+    ``semigroup.apery_grid`` gives it above its size rule."""
+    b, c, alpha, _, beta, _ = shape
+    return {s: n for s, n in ((b, alpha), (c, beta)) if n > 1}
+
+
+def _invertible(x):
+    try:
+        x.inverse()
+    except (ZeroDivisor, DivideByZero):
+        return False
+    return True
+
+
+# pairs, and triples (p*q, p*x, q*y) with gcd(p, q) = 1, so that p*q | lcm(b, c)
+row_and_rectangle_sets = st.one_of(
+    st.lists(st.integers(2, 30), min_size=2, max_size=2, unique=True),
+    st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(1, 9), st.integers(1, 9))
+    .filter(lambda t: gcd(t[0], t[1]) == 1)
+    .map(lambda t: [t[0] * t[1], t[0] * t[2], t[1] * t[3]]),
+).filter(lambda gens: gcd(*gens) == 1).map(validate_generators)
+GRID_WEIGHTS = st.one_of(
+    nonzero_fractions.map(to_element),
+    st.builds(
+        lambda d, r0, r1: quadratic_field(d).element([r0, r1]),
+        st.sampled_from([-3, 2, 5]),
+        small_fractions,
+        small_fractions,
+    ),
+    _elements([-2, 0, 0, 1]),  # cubic
+    _elements(NON_INTEGRAL.modulus),
+    _elements(REDUCIBLE.modulus),  # lambda**s - 1 can divide zero
+)
+
+
+class TestGridProvider:
+    """Rows and rectangles: ``exactnum._grid_sums`` gives the walk's H."""
+
+    @settings(deadline=None)
+    @given(A=row_and_rectangle_sets, lam=GRID_WEIGHTS, mu=st.integers(0, 8))
+    @example(A=validate_generators([3, 4]), lam=REDUCIBLE.element([Fraction(1, 2), Fraction(-3, 2)]), mu=1)
+    @example(A=validate_generators([6, 10, 15]), lam=to_element(Fraction(-3, 2)), mu=8)
+    def test_closed_form_equals_the_walk_at_every_pivot(self, A, lam, mu):
+        assume(not lam.is_zero())
+        for pivot in A:
+            _, shape = semigroup._closed_shape(A, pivot, weighted=True)
+            if shape is None:
+                continue
+            grid = _grid(shape)
+            elements = [0]
+            for s, n in grid.items():
+                elements = [m + x * s for x in range(n) for m in elements]
+            reps = apery_set(A, pivot).reps
+            assert sorted(elements) == sorted(reps)
+            H, scale = exactnum._apery_horner(lam, sorted(reps, reverse=True), mu)
+            closed = exactnum._grid_sums(lam, grid, mu)
+            if closed is None:
+                assert not all(_invertible(lam**s - 1) for s in grid)
+            elif lam.field.degree == 1:
+                assert closed == (H, scale)
+            else:
+                got = [FieldElement(lam.field, h, closed[1]) for h in closed[0]]
+                assert got == [FieldElement(lam.field, h, scale) for h in H]
+
+    def test_remainder_raises(self):
+        # a wrong determinant leaves a remainder in the division by delta - Z
+        with patch.object(exactnum, "_adjugate", lambda q, g: ([1], q[0] + 1)):
+            with pytest.raises(ArithmeticError, match="remainder"):
+                exactnum._grid_sums(to_element(Fraction(-3, 2)), {37: 23}, 1)
+
+
+class TestGridRoute:
+    """Which source ``sums._general`` reads: a grid above the size rule of
+    ``semigroup._closed_shape``, else the Apery list and the walk."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        seen = {"apery_set": 0, "walk": 0}
+        build, walk = semigroup.apery_set, exactnum._apery_horner
+
+        def build_spy(A, pivot=None):
+            seen["apery_set"] += 1
+            return build(A, pivot)
+
+        def walk_spy(*args):
+            seen["walk"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(semigroup, "apery_set", build_spy)
+        monkeypatch.setattr(sums, "apery_set", build_spy)
+        monkeypatch.setattr(exactnum, "_apery_horner", walk_spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "gens, mus",
+        [((23, 37), range(4)), ((37, 23), range(4)), ((42, 44, 63), range(1, 4))],
+        ids=["pair", "pair-at-37", "grid-triple"],
+    )
+    @pytest.mark.parametrize(
+        "lam",
+        [to_element(Fraction(-3, 2)), quadratic_field(5).element([Fraction(1, 2), Fraction(1, 2)])],
+        ids=["-3/2", "q5"],
+    )
+    def test_above_the_rule_reads_no_list(self, reads, gens, mus, lam):
+        A = validate_generators(gens)
+        want = [brute_force_weighted_sum(A, mu, lam) for mu in mus]
+        reads.update(apery_set=0, walk=0)
+        for mu, value in zip(mus, want):
+            result = weighted_power_sum(A, mu, lam, gens[0])
+            assert (result.value, result.formula_used, result.pivot_used) == (value, Formula.GENERAL, gens[0])
+        assert reads == {"apery_set": 0, "walk": 0}
+
+    @pytest.mark.parametrize(
+        "gens, mu", [((4, 11), 40), ((18, 19, 22), 1)], ids=["below-the-rule", "l-shape"]
+    )
+    def test_below_the_rule_or_with_a_corner_walks(self, reads, gens, mu):
+        A, lam = validate_generators(gens), to_element(Fraction(-3, 2))
+        want = brute_force_weighted_sum(A, mu, lam)
+        reads.update(apery_set=0, walk=0)
+        assert dispatch_sum(SumRequest(A, mu, lam)).value == want
+        assert reads == {"apery_set": 1, "walk": 1}
+
+    @pytest.mark.parametrize("gens, builds", [((3, 4), 1), ((9, 14), 0)])
+    def test_zero_divisor_step_walks(self, reads, gens, builds):
+        # lambda = -1 at x = 1, so lambda**4 - 1 and lambda**14 - 1 divide
+        # zero; <9, 14> is above the rule, and its list is written from the row
+        A, lam = validate_generators(gens), REDUCIBLE.element([Fraction(1, 2), Fraction(-3, 2)])
+        want = brute_force_weighted_sum(A, 1, lam)
+        reads.update(apery_set=0, walk=0)
+        result = dispatch_sum(SumRequest(A, 1, lam))
+        assert (result.value, result.formula_used, result.pivot_used) == (want, Formula.GENERAL, gens[0])
+        assert reads == {"apery_set": builds, "walk": 1}
+
+
 class TestTheorem1Evaluation:
     @settings(deadline=None)
     @given(A=generator_sets, lam=weights, mu=st.integers(0, 8))

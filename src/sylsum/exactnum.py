@@ -45,6 +45,8 @@ from math import comb, gcd, lcm, log
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
+from .combinatorics import power_sum_table
+
 Scalar = Union[int, Fraction, "FieldElement"]
 
 
@@ -676,8 +678,8 @@ def _combine(row: list[tuple[int, int]], H: list[list[int]], mu: int) -> list[in
 
 def _grid_sums(lam: FieldElement, grid: dict[int, int], mu: int) -> tuple[list[list[int]], int] | None:
     """(H, D) as ``_apery_sums`` gives them, in closed form, over the Apery
-    set {sum_s x_s * s : 0 <= x_s < grid[s]}, or None when lam**s - 1 is 0
-    or divides zero for some step s (the walk then runs).
+    set {sum_s x_s * s : 0 <= x_s < grid[s]}, or None when lam**s - 1
+    divides zero for some step s (the walk then runs).
 
     With lam = P/d, Z = P**s mod g and delta = d**s, one step s taken
     n = grid[s] times gives T_j = sum_{x<n} x**j Z**x delta**(n-1-x) from
@@ -688,26 +690,33 @@ def _grid_sums(lam: FieldElement, grid: dict[int, int], mu: int) -> tuple[list[l
 
     each an exact division by delta - Z (``_adjugate``, then a division by
     its determinant; a remainder raises ``ArithmeticError``).  Z and delta
-    are first divided by their gcd, as a walk step is.  The steps combine
+    are first divided by their gcd, as a walk step is.  A step of ratio
+    lam**s == 1 is Z == 1 and delta == 1 after that gcd: its T_j is
+    F_j(n) = sum_{x<n} x**j (``power_sum_table``).  The steps combine
     by the binomial theorem, H_t = sum_j C(t,j) s**j T_j H'_{t-j} for H'
     the steps before, over D = prod_s delta**(grid[s] - 1), which in degree
     1 is the walk's d**E, E = sum_s (grid[s] - 1) * s the largest element.
     That is O(mu**2) products, whatever the size of the set.
     """
     g, P, d = lam.field.g, lam.num, lam.den
+    one = [1] + [0] * (len(P) - 1)
     steps = []
     for s, n in grid.items():
         Q, e = _ipower(P, s, g), d**s
         t = gcd(e, *Q)  # lam**s = Z/delta
         Z, delta = [q // t for q in Q], e // t
-        solved = _adjugate([delta - Z[0], *(-z for z in Z[1:])], g)
-        if solved is None:
+        if Z == one and delta == 1:  # lam**s == 1
+            solved = None
+        elif (solved := _adjugate([delta - Z[0], *(-z for z in Z[1:])], g)) is None:
             return None
         steps.append((s, n, Z, delta, solved))
     binomials = [[comb(t, j) for j in range(t + 1)] for t in range(mu + 1)]
     H, scale = None, 1
-    for s, n, Z, delta, (w, det) in steps:
-        cols, delta_top = _step_sums(g, Z, delta, n, binomials, w, det)
+    for s, n, Z, delta, solved in steps:
+        if solved is None:  # T_j = F_j(n), over delta**(n-1) == 1
+            cols, delta_top = [power_sum_table(n, mu), *([0] * (mu + 1) for _ in Z[1:])], 1
+        else:
+            cols, delta_top = _step_sums(g, Z, delta, n, binomials, *solved)
         U = [[s**j * x for x in T] for j, T in enumerate(zip(*cols))]  # s**j T_j
         if H is None:
             H = U
@@ -760,8 +769,9 @@ def _apery_source(
 ) -> tuple[list[list[int]], int, int]:
     """(H, D) as ``_apery_sums`` gives them, and the largest Apery element,
     from the Apery list or a grid {step: count} (see :func:`_grid_sums`).
-    A grid takes the closed form when lam has no order found and every
-    lam**step - 1 is invertible, and is otherwise written out as a list."""
+    A grid takes the closed form when lam has no order found (a step with
+    lam**step == 1 sums F_j), unless some lam**step - 1 divides zero; it is
+    otherwise written out as a list."""
     if isinstance(apery, dict):
         if mu < 0:
             raise ValueError("mu must be nonnegative")
@@ -862,11 +872,13 @@ def eulerian_sum(
       * a grid {step: count} (``semigroup.apery_grid``), a row or a
         rectangle whose elements are the sums sum_s x_s * step_s with
         0 <= x_s < count_s.  Its power sums come in closed form when lam
-        has no order found and no lam**step - 1 is 0 or a zero divisor;
-        otherwise the grid is written out as a list.
+        has no order found (a step with lam**step == 1 sums F_j), and the
+        grid is written out as a list only when ``ladder`` found an order
+        or some lam**step - 1 divides zero.
     In a field of degree 1 another set raises ``ArithmeticError`` unless
     the formula's value happens to be an integer over d**f.  L and lam
-    must differ from 1.
+    must differ from 1.  ``ladder=[]`` climbs no ladder: lam is then taken
+    as having no order found, which is exact for every lam.
     """
     field = lam.field
     g, P, d = field.g, lam.num, lam.den

@@ -16,8 +16,9 @@ Which formula applies depends on lambda:
     corollary (lambda = -1, mu = 1, a odd) at their fixed mu and weight;
   * lambda**a == 1, lambda != 1: a root-of-unity form for mu = 1;
   * lambda == 1: a Bernoulli-number form (any mu), pure power sums;
-  * two and three generators additionally admit fully closed forms with
-    no Apery set at all, under divisibility side conditions.
+  * two generators, and three with a | lcm(b, c), have the paper's closed
+    forms at mu = 1; each is Theorem 1 at pivot a on an Apery set that is a
+    box, the row of a pair or the rectangle of the triple, with no list.
 
 The Apery power sums S[t] = sum_i reps[i]**t * lambda**reps[i] that the
 weighted formulas consume come from exact integers, all t at once (by
@@ -28,7 +29,8 @@ hands it the Apery set, L = lambda**a, the Eulerian rows and lambda's order
 ladder, and never sees the integer vectors.  A pair, or a triple whose
 Apery set is a rectangle (a | lcm(b, c) among them), hands the set over as
 the grid ``semigroup.apery_grid`` reads off its shape, with no list, once
-the pivot is above the size rule of ``semigroup._closed_shape``.  The
+the pivot is above the size rule of ``semigroup._closed_shape``; the closed
+forms hand over the same box at any size, and climb no ladder.  The
 Bernoulli form is ``semigroup.gap_power_sum``, the same integer identity
 that gives the genus (mu = 0) and the gap sum (mu = 1): it needs only the
 plain Apery power sums P_k = sum_i reps[i]**k for k <= mu+1, in closed
@@ -72,7 +74,10 @@ from .semigroup import (
     apery_grid,
     apery_set,
     check_pivot,
+    frobenius_number,
     gap_power_sum,
+    sylvester_number,
+    sylvester_sum,
     validate_generators,
 )
 
@@ -145,8 +150,8 @@ class _Powers:
     route that reads power sums makes before its pivot test, and the bodies
     pass it on to ``power_sums`` and ``eulerian_sum``.  Once it stops at an
     order r, lambda**e is read off it at e mod r.  Before it is climbed (the
-    closed forms never climb it: a few powers do not pay for up to
-    ``_max_order(degree)`` steps), or when it finds no order,
+    closed forms never climb it: their powers and Theorem 1 on a box do not
+    pay for up to ``_max_order(degree)`` steps), or when it finds no order,
     ``FieldElement.__pow__`` forms lambda**e: no order found does not prove
     lambda**e != 1 (see ``order_ladder``), so every test on a power stays
     exact.
@@ -178,10 +183,18 @@ class _Powers:
 # rule), and power is the call's ``_Powers``
 
 
-def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
+def _theorem1(
+    apery: list[int] | dict[int, int], mu: int, lam: FieldElement, a: int, power: _Powers,
+    ladder: list[list[int]],
+) -> FieldElement:
+    """Theorem 1 at pivot a on a's Apery set, as a list or a box."""
     rows = [[eulerian(n, n - j) for j in range(n + 1)] for n in range(mu + 1)]
+    return eulerian_sum(lam, apery, mu, a, power(a), rows, ladder)
+
+
+def _general(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
     apery = apery_grid(A, a, mu) or apery_set(A, a).reps
-    return eulerian_sum(lam, apery, mu, a, power(a), rows, power.ladder())
+    return _theorem1(apery, mu, lam, a, power, power.ladder())
 
 
 def _mu1_rou(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Powers) -> FieldElement:
@@ -194,57 +207,18 @@ def _unweighted(A: GeneratorSet, mu: int, lam: FieldElement, a: int, power: _Pow
     return lam.field.from_rational(gap_power_sum(A, mu, a))
 
 
-def _two_var(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
-    a, b = A
-    pa, pb, pab = power(a), power(b), power(a * b)
-    inv_a = (pa - 1).inverse()
-    inv_b = (pb - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    return (
-        lam * lam1_inv**2
-        + (a * b) * pab * inv_a * inv_b
-        - (pab - 1) * ((a + b) * pa * pb - a * pa - b * pb) * inv_a**2 * inv_b**2
-    )
-
-
-def _two_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
-    a, b = A
-    pa = power(a)
-    inv_a = (pa - 1).inverse()
-    lam1_inv = (lam - 1).inverse()
-    return lam * lam1_inv**2 + Fraction((a - 1) * a * b, 2) * inv_a - (a * a) * pa * inv_a**2
-
-
-def _three_var(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
-    ctx = ThreeVarContext(*A)
-    a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb, pc = power(a), power(b), power(c)
-    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    q1, q2 = power(l1) - 1, power(l2) - 1
-    # each factor inverted on its own: their product is 0 when a reducible
-    # modulus makes them zero divisors, and ``inverse`` names the factor
-    inv_a, inv_b, inv_c = (pa - 1).inverse(), (pb - 1).inverse(), (pc - 1).inverse()
-    den_inv = inv_a * inv_b * inv_c
-    lam1_inv = (lam - 1).inverse()
-    head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
-    harmonic = a * inv_a + b * inv_b + c * inv_c
-    return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
-
-
-def _three_var_degenerate(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
-    ctx = ThreeVarContext(*A)
-    a, b, c = ctx.a, ctx.b, ctx.c
-    pa, pb = power(a), power(b)
-    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
-    inv_a, inv_b = (pa - 1).inverse(), (pb - 1).inverse()
-    inv_ab = inv_a * inv_b
-    lam1_inv = (lam - 1).inverse()
-    inner = Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2) - a * inv_a - b * inv_b
-    return (
-        Fraction(l2, c) * (power(l1) - 1) * inv_ab * inner
-        + Fraction(l1 * l2, c) * inv_ab
-        + lam * lam1_inv**2
-    )
+def _closed(A: Gens, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
+    """Theorem 1 at pivot a = A[0] on its Apery set, a box: the row {b: a}
+    of <a, b>, or the rectangle of ``ThreeVarContext`` (a step taken once
+    adds nothing and is left out).  It climbs no order ladder."""
+    if len(A) == 2:
+        a, b = A
+        box = {b: a}
+    else:
+        ctx = ThreeVarContext(*A)
+        a = ctx.a
+        box = {s: n for s, n in ((ctx.b, ctx.gcd_ac), (ctx.c, ctx.gcd_ab)) if n > 1}
+    return _theorem1(box, mu, lam, a, power, [])
 
 
 def _oracle(A: GeneratorSet, mu: int, lam: FieldElement, _: None, power: _Powers) -> FieldElement:
@@ -307,10 +281,10 @@ ROUTES: dict[Formula, _Route] = {
     Formula.UNWEIGHTED: _Route(_unweighted, weight=1, pivot=lambda lam, L: True, pivot_rule="any a"),
     # L = (-1)**a differs from 1 exactly when a is odd
     Formula.ALTERNATING: _Route(_general, mu=1, weight=-1, pivot=_non_unit_power, pivot_rule="a odd"),
-    Formula.TWO_VAR: _Route(_two_var, mu=1, units=(False, False)),
-    Formula.TWO_VAR_DEGENERATE: _Route(_two_var_degenerate, mu=1, units=(False, True)),
-    Formula.THREE_VAR: _Route(_three_var, mu=1, units=(False, False, False)),
-    Formula.THREE_VAR_DEGENERATE: _Route(_three_var_degenerate, mu=1, units=(False, False, True)),
+    Formula.TWO_VAR: _Route(_closed, mu=1, units=(False, False)),
+    Formula.TWO_VAR_DEGENERATE: _Route(_closed, mu=1, units=(False, True)),
+    Formula.THREE_VAR: _Route(_closed, mu=1, units=(False, False, False)),
+    Formula.THREE_VAR_DEGENERATE: _Route(_closed, mu=1, units=(False, False, True)),
     Formula.ORACLE: _Route(_oracle),
 }
 
@@ -477,7 +451,11 @@ def closed_two_var(a: int, b: int, lam: Scalar) -> SumResult:
     lambda/(lambda-1)^2 + ab L^{ab} / ((L^a-1)(L^b-1))
       - (L^{ab}-1)((a+b)L^{a+b} - a L^a - b L^b) / ((L^a-1)^2 (L^b-1)^2)
 
-    written with L = lambda.
+    written with L = lambda.  It is evaluated as Theorem 1 at pivot a on the
+    row {0, b, ..., (a-1)b}, the Apery set of a, as ``weighted_sum_mu1``
+    evaluates Theorem 3.  A zero divisor lambda**b - 1 of a reducible
+    modulus therefore still gives the value; lambda**a - 1 raises
+    ``ZeroDivisor``.
     """
     return evaluate(Formula.TWO_VAR, _in_order(a, b), 1, lam)
 
@@ -486,6 +464,9 @@ def closed_two_var_degenerate(a: int, b: int, lam: Scalar) -> SumResult:
     """Closed form for two generators when lambda**b == 1 (lambda != 1):
 
     lambda/(lambda-1)^2 + (a-1)ab/(2(L^a-1)) - a^2 L^a/(L^a-1)^2
+
+    It is evaluated as Theorem 1 at pivot a on the row of ``closed_two_var``,
+    whose step b has ratio lambda**b == 1.
     """
     return evaluate(Formula.TWO_VAR_DEGENERATE, _in_order(a, b), 1, lam)
 
@@ -495,8 +476,8 @@ class ThreeVarContext(Record):
 
     Under those conditions gcd(a,b) * gcd(a,c) = a, and the Apery set of a
     is the grid {bx + cy} with 0 <= x < gcd(a,c) and 0 <= y < gcd(a,b),
-    which is what makes a fully closed form possible.  The gcd_* and lcm_*
-    fields are derived from a, b and c and cannot be passed.
+    the rectangle on which the closed forms run Theorem 1.  The gcd_* and
+    lcm_* fields are derived from a, b and c and cannot be passed.
     """
 
     __slots__ = ("a", "b", "c", "gcd_ab", "gcd_ac", "lcm_ab", "lcm_ac")
@@ -516,30 +497,17 @@ class ThreeVarContext(Record):
         object.__setattr__(self, "lcm_ab", lcm(a, b))
         object.__setattr__(self, "lcm_ac", lcm(a, c))
 
-    # unweighted statistics also collapse to closed forms in this setting
+    # the unweighted statistics, at pivot a; -1 is the Frobenius number of
+    # a set that holds 1, which has no gaps
 
     def frobenius(self) -> int:
-        return self.lcm_ab + self.lcm_ac - (self.a + self.b + self.c)
+        return frobenius_number(validate_generators((self.a, self.b, self.c)), self.a) or -1
 
     def genus(self) -> int:
-        g = self.frobenius()
-        if (g + 1) % 2 != 0:
-            raise ArithmeticError(f"Frobenius number {g} of {self} is not odd")
-        return (g + 1) // 2
+        return sylvester_number(validate_generators((self.a, self.b, self.c)), self.a)
 
     def gap_sum(self) -> int:
-        a, b, c = self.a, self.b, self.c
-        l1, l2 = self.lcm_ab, self.lcm_ac
-        total = (
-            a * a + b * b + c * c
-            + 3 * (a * b * c + a * b + b * c + c * a)
-            - 3 * (a + b + c) * (l1 + l2)
-            + 2 * (l1 * l1 + l2 * l2)
-            - 1
-        )
-        if total % 12 != 0:
-            raise ArithmeticError(f"12 * gap sum {total} of {self} is not divisible by 12")
-        return total // 12
+        return sylvester_sum(validate_generators((self.a, self.b, self.c)), self.a)
 
 
 def closed_three_var(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
@@ -548,6 +516,9 @@ def closed_three_var(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
     [l1(L^{l2}-1) + l2(L^{l1}-1) + (l1+l2-a-b-c)(L^{l1}-1)(L^{l2}-1)] / D
       - (L^{l1}-1)(L^{l2}-1)/D * (a/(L^a-1) + b/(L^b-1) + c/(L^c-1))
       + L/(L-1)^2,        D = (L^a-1)(L^b-1)(L^c-1)
+
+    It is evaluated as Theorem 1 at pivot a on the rectangle of ``ctx``,
+    the Apery set of a, as ``weighted_sum_mu1`` evaluates Theorem 3.
     """
     return evaluate(Formula.THREE_VAR, (ctx.a, ctx.b, ctx.c), 1, lam)
 
@@ -558,6 +529,9 @@ def closed_three_var_degenerate(ctx: ThreeVarContext, lam: Scalar) -> SumResult:
     l2(L^{l1}-1)/(c(L^a-1)(L^b-1))
         * (l1 + l2/2 - a - b - c/2 - a/(L^a-1) - b/(L^b-1))
       + l1 l2/(c(L^a-1)(L^b-1)) + L/(L-1)^2
+
+    It is evaluated as Theorem 1 at pivot a on the rectangle of ``ctx``,
+    whose step c has ratio lambda**c == 1.
     """
     return evaluate(Formula.THREE_VAR_DEGENERATE, (ctx.a, ctx.b, ctx.c), 1, lam)
 

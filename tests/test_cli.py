@@ -466,6 +466,20 @@ class TestForceFormula:
         assert code == 3
         assert "PreconditionViolated" in err
 
+    def test_zero_divisor_off_the_pivot_gives_the_value(self, capsys):
+        # lambda**4 - 1 divides zero modulo x**2 - 1, but two_var_closed runs
+        # Theorem 1 at pivot 3, which inverts only lambda**3 - 1 and lambda - 1
+        lam = "nf([-1,0,1]; [1/2,-3/2])"
+        code, out, err = run(
+            capsys, "sum", "--gens", "3,4", "--mu", "1", "--lambda", lam,
+            "--force-formula", "two_var_closed", "--format", "json",
+        )
+        assert code == 0, err
+        envelope = json.loads(out)
+        assert envelope["formula_used"] == "two_var_closed"
+        want = brute_force_weighted_sum(validate_generators([3, 4]), 1, parse_element(lam))
+        assert element_from_obj(envelope["result"]) == want
+
     def test_forced_formula_mu_mismatch(self, capsys):
         code, _, _ = run(
             capsys, "sum", "--gens", "3,8", "--mu", "3", "--lambda", "2",
@@ -542,9 +556,9 @@ class TestClosed3Command:
         argv = ["closed3", "--gens", "6,10,15", "--lambda=-3/2", "--format", fmt]
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        # the units pattern of three_var_thm6 holds; lcm(6,10) = lcm(6,15) = 30;
-        # 2 squares 1/(lambda-1)
-        assert pow_exponents == [6, 10, 15, 30, 2]
+        # the units pattern of three_var_thm6 holds; Theorem 1 at pivot 6
+        # reads lambda**6 from it, and 2 squares 1/(lambda-1)
+        assert pow_exponents == [6, 10, 15, 2]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_degenerate_form_forms_each_power_once(self, capsys, pow_exponents, fmt):
@@ -569,8 +583,8 @@ class TestClosed3Command:
         assert element_from_obj(envelope["result"]) == expected
 
     def test_zero_divisor_factors_exit_4(self, capsys):
-        # x**15 - 1 and x**6 - 1 each divide zero modulo Phi_5 * Phi_6, and
-        # their product with x**10 - 1 is 0; each factor is inverted alone
+        # x has order 30 modulo Phi_5 * Phi_6, and x**6 - 1 divides zero
+        # there: Theorem 1 at pivot 6 cannot invert lambda**6 - 1
         lam = "nf([1,0,1,1,1,0,1]; [0,1])"
         code, out, err = run(capsys, "closed3", "--gens", "6,9,10", "--lambda", lam)
         assert code == 4

@@ -6,7 +6,7 @@ the sieve, the closed forms of pairs and L-shaped triples to their Apery
 lists and the Horner walk, and the sums and statistics to pivot independence: every pivot
 gives a different Apery set and a different rational function, but the same
 value.  The fixed-mu routes are held to Theorems 2 and 3 as the paper
-writes them.
+writes them, and the closed forms to the general formula at every pivot.
 """
 
 import json
@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from sylsum import semigroup, sums
+from sylsum import exactnum, semigroup, sums
 from sylsum.cli import run_command
 from sylsum.exactnum import (
     FieldElement,
@@ -43,13 +43,21 @@ from sylsum.semigroup import (
     validate_generators,
 )
 from sylsum.sums import (
+    ThreeVarContext,
+    closed_three_var,
+    closed_two_var,
     unweighted_power_sum,
     weighted_power_sum,
     weighted_sum_mu1,
     weighted_sum_mu2,
 )
 from test_semigroup import apery_set_dijkstra_reference, rep_power_sums
-from test_sums import mu1_thm3_reference, mu2_thm2_reference, unweighted_thm5_reference
+from test_sums import (
+    mu1_thm3_reference,
+    mu2_thm2_reference,
+    two_var_reference,
+    unweighted_thm5_reference,
+)
 
 pytestmark = pytest.mark.large
 
@@ -289,3 +297,30 @@ def test_weighted_pivot_independence_on_rows_and_rectangles(monkeypatch, gens, l
     monkeypatch.setattr(sums, "apery_set", no_list)
     A = validate_generators(gens)
     assert len({weighted_power_sum(A, mu, lam, pivot).value for pivot in A}) == 1
+
+
+def test_closed_two_var_on_a_large_row():
+    # two_var_reference, the paper's form in normalised field elements, takes about 30 s here
+    A, lam = validate_generators([1009, 1013]), Fraction(-3, 2)
+    value = closed_two_var(1009, 1013, lam).value
+    assert all(value == weighted_power_sum(A, 1, lam, pivot).value for pivot in A)
+
+
+def test_closed_three_var_on_a_large_rectangle():
+    # 1001 = 7*11*13 divides lcm(1309, 247) = 7*11*13*17*19
+    A, lam = validate_generators([1001, 1309, 247]), Fraction(-3, 2)
+    value = closed_three_var(ThreeVarContext(1001, 1309, 247), lam).value
+    assert all(value == weighted_power_sum(A, 1, lam, pivot).value for pivot in A)
+
+
+def test_closed_form_of_degree_210_climbs_no_ladder(monkeypatch):
+    # 1 + zeta(211) has no finite order; an order search would climb 840 steps
+    lam = 1 + zeta(211)
+    want = two_var_reference((3, 5), lam)
+
+    def no_ladder(lam):
+        raise AssertionError("a closed form climbed the order ladder")
+
+    monkeypatch.setattr(sums, "order_ladder", no_ladder)
+    monkeypatch.setattr(exactnum, "order_ladder", no_ladder)
+    assert closed_two_var(3, 5, lam).value == want

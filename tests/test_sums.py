@@ -371,6 +371,32 @@ GRID_WEIGHTS = st.one_of(
 )
 
 
+def _grids_and_walks(A, lam, mu):
+    """(grid, its ``_grid_sums``, the walk's (H, D)) at every pivot of A
+    whose Apery set is a row or a rectangle; the walk runs on the grid's
+    elements, which must be that Apery set."""
+    for pivot in A:
+        _, shape = semigroup._closed_shape(A, pivot, weighted=True)
+        if shape is None:
+            continue
+        grid = _grid(shape)
+        elements = [0]
+        for s, n in grid.items():
+            elements = [m + x * s for x in range(n) for m in elements]
+        assert sorted(elements) == sorted(apery_set(A, pivot).reps)
+        walk = exactnum._apery_horner(lam, sorted(elements, reverse=True), mu)
+        yield grid, exactnum._grid_sums(lam, grid, mu), walk
+
+
+def _same_sums(lam, closed, walk):
+    """The two (H, D) are equal: as integers in degree 1, else as S[t] = H_t / D."""
+    if lam.field.degree == 1:
+        return closed == walk
+    return [FieldElement(lam.field, h, closed[1]) for h in closed[0]] == [
+        FieldElement(lam.field, h, walk[1]) for h in walk[0]
+    ]
+
+
 class TestGridProvider:
     """Rows and rectangles: ``exactnum._grid_sums`` gives the walk's H."""
 
@@ -380,25 +406,32 @@ class TestGridProvider:
     @example(A=validate_generators([6, 10, 15]), lam=to_element(Fraction(-3, 2)), mu=8)
     def test_closed_form_equals_the_walk_at_every_pivot(self, A, lam, mu):
         assume(not lam.is_zero())
-        for pivot in A:
-            _, shape = semigroup._closed_shape(A, pivot, weighted=True)
-            if shape is None:
-                continue
-            grid = _grid(shape)
-            elements = [0]
-            for s, n in grid.items():
-                elements = [m + x * s for x in range(n) for m in elements]
-            reps = apery_set(A, pivot).reps
-            assert sorted(elements) == sorted(reps)
-            H, scale = exactnum._apery_horner(lam, sorted(reps, reverse=True), mu)
-            closed = exactnum._grid_sums(lam, grid, mu)
+        for grid, closed, walk in _grids_and_walks(A, lam, mu):
             if closed is None:
                 assert not all(_invertible(lam**s - 1) for s in grid)
-            elif lam.field.degree == 1:
-                assert closed == (H, scale)
             else:
-                got = [FieldElement(lam.field, h, closed[1]) for h in closed[0]]
-                assert got == [FieldElement(lam.field, h, scale) for h in H]
+                assert _same_sums(lam, closed, walk)
+
+    @settings(deadline=None)
+    @given(
+        A=row_and_rectangle_sets,
+        lam=st.one_of(
+            st.just(to_element(-1)),
+            st.builds(lambda n, k: zeta(n) ** (k % n), st.integers(1, 12), st.integers(0, 11)),
+        ),
+        mu=st.integers(0, 8),
+    )
+    # at pivot 6, step 10 has ratio (-1)**10 == 1, and both steps have
+    # ratio 1 for zeta(5); the row of <4, 7> at pivot 4 has ratio
+    # lambda**7 == 1 for every power of zeta(7)
+    @example(A=validate_generators([6, 10, 15]), lam=to_element(-1), mu=3)
+    @example(A=validate_generators([6, 10, 15]), lam=zeta(5), mu=2)
+    @example(A=validate_generators([4, 7]), lam=zeta(7) ** 3, mu=8)
+    def test_ratio_one_steps_equal_the_walk(self, A, lam, mu):
+        # in a field, lambda**s - 1 is 0 or a unit: no grid declines, and a
+        # step with lambda**s == 1 sums F_j
+        for _, closed, walk in _grids_and_walks(A, lam, mu):
+            assert closed is not None and _same_sums(lam, closed, walk)
 
     def test_remainder_raises(self):
         # a wrong determinant leaves a remainder in the division by delta - Z
@@ -790,6 +823,82 @@ class TestAlternatingSum:
             assert alternating_sum(A).value == expected
 
 
+def two_var_reference(A, lam):
+    """The paper's two-generator closed form as normalised field elements:
+    the reference for the two_var_closed route, which evaluates Theorem 1
+    on the row of a."""
+    power = lam.__pow__
+    a, b = A
+    pa, pb, pab = power(a), power(b), power(a * b)
+    inv_a = (pa - 1).inverse()
+    inv_b = (pb - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    return (
+        lam * lam1_inv**2
+        + (a * b) * pab * inv_a * inv_b
+        - (pab - 1) * ((a + b) * pa * pb - a * pa - b * pb) * inv_a**2 * inv_b**2
+    )
+
+
+def two_var_degenerate_reference(A, lam):
+    """The paper's form for lambda**b == 1: the reference for the
+    two_var_degenerate route."""
+    power = lam.__pow__
+    a, b = A
+    pa = power(a)
+    inv_a = (pa - 1).inverse()
+    lam1_inv = (lam - 1).inverse()
+    return lam * lam1_inv**2 + Fraction((a - 1) * a * b, 2) * inv_a - (a * a) * pa * inv_a**2
+
+
+def three_var_reference(A, lam):
+    """Theorem 6 as normalised field elements: the reference for the
+    three_var_thm6 route, which evaluates Theorem 1 on the rectangle of a."""
+    power = lam.__pow__
+    ctx = ThreeVarContext(*A)
+    a, b, c = ctx.a, ctx.b, ctx.c
+    pa, pb, pc = power(a), power(b), power(c)
+    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
+    q1, q2 = power(l1) - 1, power(l2) - 1
+    # each factor inverted on its own: their product is 0 when a reducible
+    # modulus makes them zero divisors, and ``inverse`` names the factor
+    inv_a, inv_b, inv_c = (pa - 1).inverse(), (pb - 1).inverse(), (pc - 1).inverse()
+    den_inv = inv_a * inv_b * inv_c
+    lam1_inv = (lam - 1).inverse()
+    head = (l1 * q2 + l2 * q1 + (l1 + l2 - a - b - c) * q1 * q2) * den_inv
+    harmonic = a * inv_a + b * inv_b + c * inv_c
+    return head - q1 * q2 * den_inv * harmonic + lam * lam1_inv**2
+
+
+def three_var_degenerate_reference(A, lam):
+    """Theorem 7 (lambda**c == 1) as normalised field elements: the
+    reference for the three_var_thm7 route."""
+    power = lam.__pow__
+    ctx = ThreeVarContext(*A)
+    a, b, c = ctx.a, ctx.b, ctx.c
+    pa, pb = power(a), power(b)
+    l1, l2 = ctx.lcm_ab, ctx.lcm_ac
+    inv_a, inv_b = (pa - 1).inverse(), (pb - 1).inverse()
+    inv_ab = inv_a * inv_b
+    lam1_inv = (lam - 1).inverse()
+    inner = Fraction(2 * l1 + l2 - 2 * a - 2 * b - c, 2) - a * inv_a - b * inv_b
+    return (
+        Fraction(l2, c) * (power(l1) - 1) * inv_ab * inner
+        + Fraction(l1 * l2, c) * inv_ab
+        + lam * lam1_inv**2
+    )
+
+
+# in-order triples (p*q, p*x, q*y) with gcd(p, q) = 1, so that the first
+# divides the lcm of the other two
+lcm_triples = (
+    st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(1, 9), st.integers(1, 9))
+    .filter(lambda t: gcd(t[0], t[1]) == 1)
+    .map(lambda t: (t[0] * t[1], t[0] * t[2], t[1] * t[3]))
+    .filter(lambda abc: gcd(*abc) == 1 and len(set(abc)) == 3)
+)
+
+
 class TestClosedTwoVar:
     def test_rejects_root_of_unity(self):
         with pytest.raises(PreconditionViolated):
@@ -814,6 +923,16 @@ class TestClosedTwoVar:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             closed_two_var(4, 6, 2)
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (9, 14), (5, 8)])
+    def test_zero_divisor_on_b_gives_the_value(self, a, b):
+        # lambda is -1 at x = 1 and 2 at x = -1, so lambda**b - 1 divides
+        # zero for an even b while lambda**a - 1 is a unit: the paper's form
+        # cannot invert it, and Theorem 1 at pivot a never does
+        lam = REDUCIBLE.element([Fraction(1, 2), Fraction(-3, 2)])
+        with pytest.raises(ZeroDivisor):
+            two_var_reference((a, b), lam)
+        assert closed_two_var(a, b, lam).value == brute_force_weighted_sum(validate_generators([a, b]), 1, lam)
 
 
 class TestClosedTwoVarDegenerate:
@@ -855,13 +974,20 @@ class TestThreeVarContext:
             ThreeVarContext(4, 6, 10)
 
     def test_closed_gap_statistics(self):
-        for abc in [(6, 9, 10), (5, 15, 6), (3, 9, 10), (4, 12, 7)]:
+        # a set that holds 1 has no gaps, and -1 for its Frobenius number
+        for abc in [(6, 9, 10), (5, 15, 6), (3, 9, 10), (4, 12, 7), (2, 1, 4), (1, 6, 9)]:
             ctx = ThreeVarContext(*abc)
-            A = validate_generators(abc)
-            gaps = gap_set(A)
-            assert ctx.frobenius() == frobenius_number(A) == max(gaps)
-            assert ctx.genus() == sylvester_number(A) == len(gaps)
-            assert ctx.gap_sum() == sylvester_sum(A) == sum(gaps)
+            gaps = gap_set(validate_generators(abc))
+            assert ctx.frobenius() == max(gaps, default=-1)
+            assert ctx.genus() == len(gaps)
+            assert ctx.gap_sum() == sum(gaps)
+
+    @settings(deadline=None)
+    @given(abc=lcm_triples)
+    def test_statistics_match_gap_set(self, abc):
+        ctx = ThreeVarContext(*abc)
+        gaps = gap_set(validate_generators(abc))
+        assert (ctx.frobenius(), ctx.genus(), ctx.gap_sum()) == (max(gaps), len(gaps), sum(gaps))
 
 
 class TestClosedThreeVar:
@@ -992,6 +1118,93 @@ class TestClosedRouteUnits:
     def test_single_form_keeps_its_error_type(self):
         with pytest.raises(ConditionNotMet, match="needs exactly 2 generators"):
             sums.evaluate(Formula.TWO_VAR, (3, 8, 13), 1, 2)
+
+
+CLOSED_REFERENCES = {
+    Formula.TWO_VAR: two_var_reference,
+    Formula.TWO_VAR_DEGENERATE: two_var_degenerate_reference,
+    Formula.THREE_VAR: three_var_reference,
+    Formula.THREE_VAR_DEGENERATE: three_var_degenerate_reference,
+}
+ZERO_DIVISOR_WEIGHT = REDUCIBLE.element([Fraction(1, 2), Fraction(-3, 2)])  # -1 at x = 1, 2 at x = -1
+
+
+class TestClosedFormsRunTheorem1:
+    """Each closed route is Theorem 1 on its row or rectangle, equal to the
+    paper's form wherever that form can invert its factors."""
+
+    @settings(deadline=None)
+    @given(
+        gens=st.one_of(
+            st.sampled_from(CLOSED_PAIRS + CLOSED_TRIPLES),
+            st.tuples(st.integers(2, 30), st.integers(2, 30)).filter(lambda ab: gcd(*ab) == 1 < ab[0]),
+            lcm_triples,
+        ),
+        lam=st.one_of(
+            st.sampled_from(CLOSED_WEIGHTS + [ZERO_DIVISOR_WEIGHT]),
+            FINITE_ORDER_WEIGHTS,
+            INFINITE_ORDER_WEIGHTS,
+            GRID_WEIGHTS,
+        ),
+    )
+    # lambda**b - 1 divides zero, lambda**a - 1 does not
+    @example(gens=(3, 4), lam=ZERO_DIVISOR_WEIGHT)
+    @example(gens=(9, 14), lam=ZERO_DIVISOR_WEIGHT)
+    @example(gens=(5, 8), lam=ZERO_DIVISOR_WEIGHT)
+    # x has order 30 modulo Phi_5 * Phi_6, and lambda**a - 1 = x**6 - 1
+    # divides zero: both sides raise
+    @example(gens=(6, 7), lam=NumberField([1, 0, 1, 1, 1, 0, 1]).element([0, 1]))
+    # the in-order degenerate examples of the spy test below
+    @example(gens=(1001, 1000), lam=zeta(8))
+    @example(gens=(1001, 231, 221), lam=zeta(17))
+    def test_route_equals_its_reference(self, gens, lam):
+        assume(not lam.is_zero())
+        formulas = [
+            f for f, route in sums.ROUTES.items()
+            if f in CLOSED_REFERENCES
+            and len(route.units) == len(gens)
+            and all((lam**g).is_one() == unit for g, unit in zip(gens, route.units))
+        ]
+        assume(formulas)
+        (formula,) = formulas
+        try:
+            want = CLOSED_REFERENCES[formula](gens, lam)
+        except ZeroDivisor as exc:
+            if not (_invertible(lam ** gens[0] - 1) and _invertible(lam - 1)):
+                with pytest.raises(ZeroDivisor, match=f"^{re.escape(str(exc))}$"):
+                    sums.evaluate(formula, gens, 1, lam)
+                return
+            want = brute_force_weighted_sum(validate_generators(gens), 1, lam)
+        result = sums.evaluate(formula, gens, 1, lam)
+        assert (result.formula_used, result.pivot_used) == (formula, None)
+        assert (result.value.field.modulus, result.value.coeffs) == (want.field.modulus, want.coeffs)
+
+    def test_no_list_walk_or_ladder(self, monkeypatch):
+        cases = [
+            (closed_two_var_degenerate, (1001, 1000), zeta(8), two_var_degenerate_reference),
+            (closed_three_var_degenerate, (1001, 231, 221), zeta(17), three_var_degenerate_reference),
+        ]
+        want = [reference(gens, lam) for _, gens, lam, reference in cases]
+
+        def forbid(owner, name):
+            def spy(*args):
+                raise AssertionError(f"a closed form called {name}")
+
+            monkeypatch.setattr(owner, name, spy)
+
+        for owner, name in [
+            (semigroup, "apery_set"),
+            (sums, "apery_set"),
+            (exactnum, "_apery_horner"),
+            (exactnum, "order_ladder"),
+            (sums, "order_ladder"),
+        ]:
+            forbid(owner, name)
+        # the largest gap n = F, odd, alone has the denominator 2**F; the
+        # value itself is held to Theorem 1 at pivot 1013 in the large tier
+        assert closed_two_var(1009, 1013, Fraction(-3, 2)).value.den == 2 ** (1009 * 1013 - 1009 - 1013)
+        assert closed_two_var_degenerate(1001, 1000, zeta(8)).value == want[0]
+        assert closed_three_var_degenerate(ThreeVarContext(1001, 231, 221), zeta(17)).value == want[1]
 
 
 class TestOracleRoute:
